@@ -19,7 +19,6 @@ from .dsp import (
     write_mels,
 )
 from .diffusion import (
-    ConditionBundle,
     NoiseSchedule,
     make_schedule,
     p_step,

@@ -135,16 +135,24 @@ def cmd_gendata(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def _load_config(path: str) -> trainer.TrainConfig:
+    """A file that cannot be read as a JSON object is an input error; a
+    bad value in it is a parameter error."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg_obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InputError(f"config {path} must be a JSON object")
     try:
-        config = trainer.TrainConfig.from_json(cfg_obj)
+        return trainer.TrainConfig.from_json(obj)
     except (TypeError, ValueError) as exc:
         raise ParamError(f"bad training config: {exc}") from None
+
+
+def cmd_train(args) -> int:
+    config = _load_config(args.config)
     dataset = _load_manifest(args.manifest)
     ckpt, history = trainer.train(config, dataset)
     out_dir = _out_dir(args.out)
@@ -183,7 +191,7 @@ def cmd_sample(args) -> int:
     x0 = trainer.sample_prepared(ckpt, prepared, args.steps, args.seed)
     out = dsp.MelSpectrogram(data=x0, n_mels=item.gt_mel.n_mels, hop=item.gt_mel.hop, is_log=True)
     dsp.write_mels(args.output, out)
-    mse = float(((x0 - item.gt_mel.data) ** 2).mean())
+    mse = float(((x0 - trainer.gt_in_checkpoint_norm(ckpt, dataset, item)) ** 2).mean())
     _emit(
         {
             "output": args.output,
@@ -215,11 +223,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = trainer.TrainConfig.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from None
+    config = _load_config(args.config)
     dataset = _load_manifest(args.manifest)
     eval_dataset = _load_manifest(args.eval_manifest) if args.eval_manifest else None
     table = trainer.ablation_suite(
@@ -240,17 +244,22 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+# What a reader raises on a file of the wrong shape: a missing key, a
+# value of the wrong JSON type, or JSON nested past the recursion limit.
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError)
+
+
 def _load_manifest(path) -> synthgen.SynthDataset:
     try:
         return synthgen.load_dataset(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"cannot load dataset {path}: {exc}") from None
 
 
 def _load_ckpt(path) -> trainer.Checkpoint:
     try:
         return trainer.Checkpoint.load(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"cannot load checkpoint {path}: {exc}") from None
 
 

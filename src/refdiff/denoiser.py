@@ -20,6 +20,7 @@ so gradient checks are tight and runs are bit-reproducible.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ import numpy as np
 from .dsp import MelSpectrogram
 
 GATE_MODES = ("gated", "linear")
+ARCH_KEYS = ("n_mels", "hidden", "depth", "cond_dim", "step_dim", "kernel")
 
 
 def step_embedding(t: int, dim: int) -> np.ndarray:
@@ -105,20 +107,7 @@ class DenoiserParams:
         return sum(arr.size for _, arr in self.named_arrays())
 
     def arch(self) -> dict:
-        return {
-            "n_mels": self.n_mels,
-            "hidden": self.hidden,
-            "depth": self.depth,
-            "cond_dim": self.cond_dim,
-            "step_dim": self.step_dim,
-            "kernel": self.kernel,
-        }
-
-    def copy(self) -> "DenoiserParams":
-        new = init_params(seed=0, **self.arch())
-        for (_, dst), (_, src) in zip(new.named_arrays(), self.named_arrays()):
-            dst[...] = src
-        return new
+        return {key: getattr(self, key) for key in ARCH_KEYS}
 
 
 def init_params(
@@ -549,6 +538,7 @@ def grad_check(
 
 CHECKPOINT_MAGIC = b"RDCK"
 CHECKPOINT_VERSION = 2
+MAX_HEADER_BYTES = 1 << 20  # a real header is about 1 kB
 
 
 def save_checkpoint(path, params: DenoiserParams, header: dict) -> None:
@@ -564,21 +554,62 @@ def save_checkpoint(path, params: DenoiserParams, header: dict) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise ValueError(f"truncated checkpoint: {what} needs {n} bytes, found {len(raw)}")
+    return raw
+
+
+def _parse_arch(arch) -> dict:
+    """The architecture sizes of a checkpoint header, as positive ints."""
+    if not isinstance(arch, dict) or set(arch) != set(ARCH_KEYS):
+        raise ValueError(f"checkpoint arch must have exactly the keys {', '.join(ARCH_KEYS)}")
+    for key in ARCH_KEYS:
+        value = arch[key]
+        if type(value) is not int or value < 1:
+            raise ValueError(f"checkpoint arch {key} must be a positive integer, got {value!r}")
+    return arch
+
+
+def _n_parameters(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> int:
+    """Parameter count of ``init_params`` with these sizes, without allocating."""
+    branch = hidden * n_mels + hidden + depth * (2 * hidden * hidden * kernel + 2 * hidden)
+    zero = depth * (hidden * hidden + hidden)
+    return 2 * branch + zero + n_mels * (hidden + 1) + (step_dim + cond_dim + 2) * hidden
+
+
 def load_checkpoint(path) -> tuple[DenoiserParams, dict]:
+    """Read an RDCK file written by ``save_checkpoint``.
+
+    Any malformed file raises ValueError: a wrong magic or version, a
+    file that ends inside the fixed fields or the header, a header
+    longer than MAX_HEADER_BYTES or not a JSON object, an arch that is
+    not six positive integers, or parameter bytes, trailing ones
+    included, that do not add up to what the arch needs.  The size is
+    checked before any array is allocated.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        version, header_len = struct.unpack("<II", _read_exact(fh, 8, "version and header length"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
             )
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        params = init_params(seed=0, **header["arch"])
-        for name, arr in params.named_arrays():
-            raw = fh.read(8 * arr.size)
-            if len(raw) != 8 * arr.size:
-                raise ValueError(f"truncated checkpoint block {name}")
-            arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+        if header_len > MAX_HEADER_BYTES:
+            raise ValueError(f"checkpoint header of {header_len} bytes exceeds {MAX_HEADER_BYTES}")
+        header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("checkpoint header must be a JSON object")
+        arch = _parse_arch(header.get("arch"))
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        needed = 8 * _n_parameters(**arch)
+        if remaining != needed:
+            kind = "truncated" if remaining < needed else "trailing bytes in"
+            raise ValueError(f"{kind} checkpoint: {remaining} parameter bytes, its arch needs {needed}")
+        params = init_params(seed=0, **arch)
+        for _, arr in params.named_arrays():
+            arr[...] = np.frombuffer(fh.read(8 * arr.size), dtype="<f8").reshape(arr.shape)
     return params, header

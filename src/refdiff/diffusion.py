@@ -4,7 +4,9 @@ Forward corruption (both the closed form and the per-step Markov
 kernel), the epsilon-parameterized reverse step with an optional
 clipped-x0 posterior form, an ancestral sampler with optional
 evenly-strided step reduction, and the transition-weighted
-noise-prediction loss.
+noise-prediction loss.  The sampler knows nothing of conditioning: it
+calls a noise predictor ``predict(x_t, t)`` that closes over the
+reference and score features itself.
 
 Steps are 1-indexed: t runs over 1..T and betas[t-1] is the variance
 added at step t.  A reverse step jumps from t to an earlier step
@@ -21,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .dsp import MelSpectrogram
 from .transition import WeightMap
 
 
@@ -60,43 +61,6 @@ class NoiseSchedule:
         if obj.get("kind", "linear") != "linear":
             raise ValueError(f"unknown schedule kind: {obj.get('kind')}")
         return make_schedule(int(obj["T"]), float(obj["beta_min"]), float(obj["beta_max"]))
-
-
-@dataclass(frozen=True)
-class DiffusionState:
-    """A spectrogram-shaped array at a given diffusion step."""
-
-    x: np.ndarray
-    t: int
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        object.__setattr__(self, "x", x)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("state entries must be finite")
-        if self.t < 0:
-            raise ValueError("step must be >= 0")
-
-
-@dataclass(frozen=True)
-class ConditionBundle:
-    """Per-frame conditioning for the denoiser.
-
-    ``cond`` is a D x T matrix (the stand-in for a score embedding) and
-    ``ref_mel`` the prepared reference spectrogram, same shape as the
-    generation target.
-    """
-
-    cond: np.ndarray
-    ref_mel: MelSpectrogram
-
-    def __post_init__(self):
-        cond = np.asarray(self.cond, dtype=np.float64)
-        object.__setattr__(self, "cond", cond)
-        if cond.ndim != 2:
-            raise ValueError("cond must be a D x T matrix")
-        if cond.shape[1] != self.ref_mel.n_frames:
-            raise ValueError("cond frame count must match the reference spectrogram")
 
 
 def make_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.06) -> NoiseSchedule:
@@ -265,20 +229,22 @@ def sampling_steps(schedule: NoiseSchedule, steps: int) -> np.ndarray:
 
 
 def sample(
-    denoiser: Callable[[np.ndarray, int, ConditionBundle], np.ndarray],
-    bundle: ConditionBundle,
+    predict: Callable[[np.ndarray, int], np.ndarray],
+    shape: tuple[int, ...],
     schedule: NoiseSchedule,
     steps: int,
     seed: int,
     clip: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Ancestral sampling from standard normal noise down to an x0 estimate.
+    """Ancestral sampling of a ``shape`` array from standard normal noise
+    down to an x0 estimate.
 
-    ``denoiser(x_t, t, bundle)`` must return the noise estimate for x_t.
-    The chain visits an evenly strided subset of the schedule (all of
-    T..1 when steps == T); each jump t -> t_prev uses the variance
-    1 - abar_t / abar_prev, so a strided chain removes the same noise as
-    the full one (the respacing of Nichol & Dhariwal).  With ``clip``
+    ``predict(x_t, t)`` must return the noise estimate for x_t; it
+    carries any conditioning itself.  The chain visits an evenly
+    strided subset of the schedule (all of T..1 when steps == T); each
+    jump t -> t_prev uses the variance 1 - abar_t / abar_prev, so a
+    strided chain removes the same noise as the full one (the
+    respacing of Nichol & Dhariwal).  With ``clip``
     every step goes through the x0 estimate clipped to [lo, hi]; without
     it the step is the plain epsilon form.  Output is a deterministic
     function of (seed, inputs): the generator draws the initial state
@@ -286,10 +252,9 @@ def sample(
     """
     ts = sampling_steps(schedule, steps)
     rng = np.random.default_rng(seed)
-    shape = bundle.ref_mel.data.shape
     x = rng.standard_normal(shape)
     for i, t in enumerate(ts):
-        eps_hat = denoiser(x, int(t), bundle)
+        eps_hat = predict(x, int(t))
         last = i == len(ts) - 1
         z = None if last else rng.standard_normal(shape)
         t_prev = 0 if last else int(ts[i + 1])

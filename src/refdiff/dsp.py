@@ -12,6 +12,7 @@ hidden state, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -157,7 +158,11 @@ def load_wav(path) -> AudioBuffer:
             sample_rate, data = wavfile.read(fh)
     except FileNotFoundError:
         raise UnreadableWavError(f"cannot open WAV file: {path}") from None
-    except ValueError as exc:
+    except Exception as exc:
+        # scipy's parser raises more than ValueError on a malformed file:
+        # struct.error or EOFError when it ends inside a chunk field,
+        # ZeroDivisionError for zero channels, UnboundLocalError when the
+        # RIFF size ends before the data chunk
         raise UnreadableWavError(f"not a readable WAV file: {path} ({exc})") from None
     if data.ndim > 1:
         data = data[:, 0]
@@ -409,9 +414,11 @@ def read_mels(path) -> MelSpectrogram:
             raise ValueError(f"not a MELS file: {path}")
         if version != MELS_VERSION:
             raise ValueError(f"unsupported MELS version {version}: {path}")
+        # checked against the file size first: a hostile F x T must not
+        # make the read allocate it
+        if os.fstat(fh.fileno()).st_size - _MELS_HEADER.size < 4 * n_mels * n_frames:
+            raise ValueError(f"truncated MELS payload: {path}")
         payload = fh.read(4 * n_mels * n_frames)
-    if len(payload) != 4 * n_mels * n_frames:
-        raise ValueError(f"truncated MELS payload: {path}")
     data = np.frombuffer(payload, dtype="<f4").reshape(n_mels, n_frames)
     return MelSpectrogram(
         data=data.astype(np.float64), n_mels=n_mels, hop=hop, is_log=bool(is_log)

@@ -381,6 +381,13 @@ def load_dataset(manifest_path) -> SynthDataset:
             if not line:
                 continue
             rec = json.loads(line)
+            shared = (rec["norm"], rec.get("config"), int(rec.get("dataset_seed", 0)))
+            if samples and shared != (norm, cfg, seed):
+                raise ValueError(
+                    f"mixed manifest {manifest_path}: record {len(samples) + 1} differs from "
+                    "the records before it in norm, config or dataset_seed"
+                )
+            norm, cfg, seed = shared
             score = ScoreSpec.from_json(rec["score"])
             regions = TransitionRegionSet(
                 regions=tuple((s, e) for s, e in rec["regions"]),
@@ -396,9 +403,6 @@ def load_dataset(manifest_path) -> SynthDataset:
                     score=score,
                 )
             )
-            norm = rec["norm"]
-            cfg = rec.get("config")
-            seed = int(rec.get("dataset_seed", 0))
     if not samples:
         raise ValueError(f"empty manifest: {manifest_path}")
     return SynthDataset(

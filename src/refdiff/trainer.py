@@ -16,16 +16,15 @@ into transition-region and non-region entries using the oracle regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import denoiser as dn
-from .diffusion import ConditionBundle, NoiseSchedule, make_schedule, q_sample, sample, weighted_eps_loss
+from .diffusion import NoiseSchedule, make_schedule, q_sample, sample, weighted_eps_loss
 from .dsp import MelSpectrogram, log_compress
 from .synthgen import SynthDataset, SynthSample, denormalize_log_mel, normalize_log_mel
 from .transition import (
-    TransitionConfig,
     TransitionRegionSet,
     WeightMap,
     analyze,
@@ -53,7 +52,6 @@ class TrainConfig:
     blur: bool = True
     weighting: bool = True
     reference: bool = True
-    freeze_reference: bool = False
     seed: int = 0
     schedule_T: int = 100
     beta_min: float = 1e-4
@@ -120,13 +118,7 @@ class Metrics:
     n_nonregion: int
 
     def to_json(self) -> dict:
-        return {
-            "global_mse": self.global_mse,
-            "region_mse": self.region_mse,
-            "nonregion_mse": self.nonregion_mse,
-            "n_region": self.n_region,
-            "n_nonregion": self.n_nonregion,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -145,8 +137,6 @@ class PreparedSample:
     ref_norm: MelSpectrogram  # prepared reference, normalized log domain
     cond: np.ndarray
     weights: WeightMap
-    detected_regions: TransitionRegionSet
-    true_regions: TransitionRegionSet
 
 
 def prepare_reference(
@@ -154,7 +144,6 @@ def prepare_reference(
     blur: bool,
     norm_lo: float,
     norm_hi: float,
-    tcfg: TransitionConfig = TransitionConfig(),
     log_floor: float = 1e-5,
 ) -> tuple[MelSpectrogram, TransitionRegionSet]:
     """Detect regions on the linear reference, log-compress it, optionally
@@ -164,10 +153,10 @@ def prepare_reference(
     harmonic valleys near the log floor, which the log map turns into
     large errors.
     """
-    _, regions = analyze(ref_linear, tcfg)
+    _, regions = analyze(ref_linear)
     ref_log = log_compress(ref_linear, log_floor)
     if blur:
-        ref_log = blur_regions(ref_log, regions, blur_kernel(tcfg))
+        ref_log = blur_regions(ref_log, regions, blur_kernel())
     return normalize_log_mel(ref_log, norm_lo, norm_hi), regions
 
 
@@ -176,21 +165,11 @@ def prepare_sample(
     cfg: TrainConfig,
     norm_lo: float,
     norm_hi: float,
-    tcfg: TransitionConfig = TransitionConfig(),
 ) -> PreparedSample:
-    ref_norm, regions = prepare_reference(
-        sample_.ref_mel, cfg.blur, norm_lo, norm_hi, tcfg, cfg.log_floor
-    )
+    ref_norm, regions = prepare_reference(sample_.ref_mel, cfg.blur, norm_lo, norm_hi, cfg.log_floor)
     lam = cfg.lambda_in if cfg.weighting else 1.0
     weights = weight_map(regions, sample_.gt_mel.n_mels, lam)
-    return PreparedSample(
-        gt=sample_.gt_mel.data,
-        ref_norm=ref_norm,
-        cond=sample_.cond,
-        weights=weights,
-        detected_regions=regions,
-        true_regions=sample_.true_regions,
-    )
+    return PreparedSample(gt=sample_.gt_mel.data, ref_norm=ref_norm, cond=sample_.cond, weights=weights)
 
 
 def adam_init(params: dn.DenoiserParams) -> dict:
@@ -231,11 +210,7 @@ def adam_step(
     return params, state
 
 
-def train(
-    config: TrainConfig,
-    dataset: SynthDataset,
-    tcfg: TransitionConfig = TransitionConfig(),
-) -> tuple[Checkpoint, TrainHistory]:
+def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, TrainHistory]:
     """Run the training loop; returns the checkpoint and its history.
 
     Per step the generator is consumed in a fixed order: batch indices,
@@ -247,9 +222,7 @@ def train(
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
     schedule = make_schedule(config.schedule_T, config.beta_min, config.beta_max)
-    prepared = [
-        prepare_sample(s, config, dataset.norm_lo, dataset.norm_hi, tcfg) for s in dataset
-    ]
+    prepared = [prepare_sample(s, config, dataset.norm_lo, dataset.norm_hi) for s in dataset]
     n_mels = dataset[0].gt_mel.n_mels
     cond_dim = dataset[0].cond.shape[0]
     params = dn.init_params(
@@ -260,6 +233,13 @@ def train(
         step_dim=config.step_dim,
         kernel=config.kernel,
         seed=config.seed,
+    )
+    ckpt = Checkpoint(
+        params=params,
+        schedule=schedule,
+        norm_lo=dataset.norm_lo,
+        norm_hi=dataset.norm_hi,
+        config=config,
     )
     state = adam_init(params)
     rng = np.random.default_rng(config.seed)
@@ -292,30 +272,13 @@ def train(
         batch_loss /= config.batch_size
         if not np.isfinite(batch_loss):
             raise TrainingDivergedError(f"non-finite loss at step {len(loss_curve)}")
-        if config.freeze_reference:
-            for name in batch_grads:
-                if name.startswith("ref."):
-                    batch_grads[name][...] = 0.0
         adam_step(params, batch_grads, state, config.learning_rate)
         loss_curve.append(batch_loss)
         step_no = len(loss_curve)
         if config.eval_every > 0 and step_no % config.eval_every == 0:
-            snapshot = Checkpoint(
-                params=params,
-                schedule=schedule,
-                norm_lo=dataset.norm_lo,
-                norm_hi=dataset.norm_hi,
-                config=config,
-            )
-            metrics = evaluate(snapshot, dataset, config.eval_steps, seed=config.seed)
+            # ckpt shares params with the loop, so this evaluates the current weights
+            metrics = evaluate(ckpt, dataset, config.eval_steps, seed=config.seed)
             evals.append({"step": step_no, "metrics": metrics.to_json()})
-    ckpt = Checkpoint(
-        params=params,
-        schedule=schedule,
-        norm_lo=dataset.norm_lo,
-        norm_hi=dataset.norm_hi,
-        config=config,
-    )
     return ckpt, TrainHistory(loss_curve=loss_curve, evals=evals)
 
 
@@ -326,7 +289,7 @@ def make_predictor(ckpt: Checkpoint, prepared: PreparedSample):
     else:
         hiddens = None
 
-    def predict(x_t: np.ndarray, t: int, bundle: ConditionBundle) -> np.ndarray:
+    def predict(x_t: np.ndarray, t: int) -> np.ndarray:
         eps_hat, _ = dn.denoiser_forward(ckpt.params, x_t, t, prepared.cond, hiddens)
         return eps_hat
 
@@ -334,27 +297,36 @@ def make_predictor(ckpt: Checkpoint, prepared: PreparedSample):
 
 
 def sample_prepared(ckpt: Checkpoint, prepared: PreparedSample, steps: int, seed: int) -> np.ndarray:
-    """Sample one prepared item at ``steps`` respaced steps, x0 clipped to CLIP_RANGE."""
-    bundle = ConditionBundle(cond=prepared.cond, ref_mel=prepared.ref_norm)
+    """Sample one prepared item at ``steps`` respaced steps, x0 clipped to CLIP_RANGE.
+
+    The output has the ground truth's F x T shape, in the checkpoint's
+    normalized log-mel domain.
+    """
     predictor = make_predictor(ckpt, prepared)
-    return sample(predictor, bundle, ckpt.schedule, steps, seed, clip=CLIP_RANGE)
+    return sample(predictor, prepared.gt.shape, ckpt.schedule, steps, seed, clip=CLIP_RANGE)
 
 
-def evaluate(
-    ckpt: Checkpoint,
-    dataset: SynthDataset,
-    steps: int,
-    seed: int = 0,
-    tcfg: TransitionConfig = TransitionConfig(),
-) -> Metrics:
+def gt_in_checkpoint_norm(ckpt: Checkpoint, dataset: SynthDataset, sample_: SynthSample) -> np.ndarray:
+    """The ground truth of ``sample_`` (an item of ``dataset``) in the
+    checkpoint's normalization, the domain ``sample_prepared`` outputs.
+
+    Ground truths carry their own dataset's normalization, so a held-out
+    dataset's are remapped; when the two agree the stored array is
+    returned as it is.
+    """
+    if (dataset.norm_lo, dataset.norm_hi) == (ckpt.norm_lo, ckpt.norm_hi):
+        return sample_.gt_mel.data
+    gt_log = denormalize_log_mel(sample_.gt_mel, dataset.norm_lo, dataset.norm_hi)
+    return normalize_log_mel(gt_log, ckpt.norm_lo, ckpt.norm_hi).data
+
+
+def evaluate(ckpt: Checkpoint, dataset: SynthDataset, steps: int, seed: int = 0) -> Metrics:
     """Sample every item and accumulate region / non-region squared error.
 
-    Item i is drawn by ``sample_prepared`` with seed ``seed + i``.
-
-    Works on held-out datasets too: ground truths carry their own
-    dataset's normalization, so they are remapped into the checkpoint's
-    normalization before comparison (references are prepared with the
-    checkpoint's stats to begin with).
+    Item i is prepared with the checkpoint's normalization and the
+    default ``TransitionConfig``, drawn by ``sample_prepared`` with seed
+    ``seed + i``, and compared with ``gt_in_checkpoint_norm``, so
+    held-out datasets are scored in the domain the model samples in.
     """
     if steps > ckpt.schedule.T:
         raise ValueError(f"steps {steps} exceeds schedule length {ckpt.schedule.T}")
@@ -363,13 +335,9 @@ def evaluate(
     n_region = 0
     n_nonregion = 0
     for i, sample_ in enumerate(dataset):
-        prepared = prepare_sample(sample_, ckpt.config, ckpt.norm_lo, ckpt.norm_hi, tcfg)
-        gt = prepared.gt
-        if (dataset.norm_lo, dataset.norm_hi) != (ckpt.norm_lo, ckpt.norm_hi):
-            gt_log = denormalize_log_mel(sample_.gt_mel, dataset.norm_lo, dataset.norm_hi)
-            gt = normalize_log_mel(gt_log, ckpt.norm_lo, ckpt.norm_hi).data
+        prepared = prepare_sample(sample_, ckpt.config, ckpt.norm_lo, ckpt.norm_hi)
         x0_hat = sample_prepared(ckpt, prepared, steps, seed + i)
-        sq = (x0_hat - gt) ** 2
+        sq = (x0_hat - gt_in_checkpoint_norm(ckpt, dataset, sample_)) ** 2
         mask = sample_.true_regions.covers()
         sq_region += float(sq[:, mask].sum())
         sq_nonregion += float(sq[:, ~mask].sum())

@@ -74,30 +74,16 @@ class TransitionRegionSet:
             mask[start:end] = True
         return mask
 
-    @property
-    def n_region_frames(self) -> int:
-        return sum(end - start for start, end in self.regions)
-
 
 @dataclass(frozen=True)
 class WeightMap:
-    """Per-entry loss weights: lambda_in inside regions, 1 outside."""
+    """Per-entry loss weights: lambda_in inside regions, 1 outside.
+
+    Built only by ``weight_map``, which checks lambda_in.
+    """
 
     data: np.ndarray
     lambda_in: float
-    base: float = 1.0
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        object.__setattr__(self, "data", data)
-        if data.ndim != 2:
-            raise ValueError("weight map must be 2-D")
-        if self.lambda_in < 1.0:
-            raise ValueError("lambda_in must be >= 1")
-        values = np.unique(data)
-        allowed = {self.base, self.lambda_in}
-        if not set(values.tolist()) <= allowed:
-            raise ValueError("weight map entries must be base or lambda_in")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """CLI subcommands: exit codes, JSON schemas, determinism, file hygiene."""
 
+import dataclasses
 import hashlib
 import json
+import struct
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from refdiff import cli, dsp, synthgen
+from refdiff import cli, dsp, synthgen, trainer
 from refdiff.synthgen import ScoreSpec, render_mel
 
 
@@ -32,6 +34,12 @@ def write_two_note_mels(path, seed=0):
     mel = render_mel(score, seed=seed)
     dsp.write_mels(path, mel)
     return score
+
+
+def assert_one_line_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error:")
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +115,12 @@ class TestAnalyze:
         )
         code, _, _ = run_cli(capsys, "analyze", str(mels))
         assert code == 2
+
+
+    def test_riff_only_file_exit2(self, tmp_path, capsys):
+        wav = tmp_path / "riff.wav"
+        wav.write_bytes(b"RIFF")
+        assert_one_line_input_error(*run_cli(capsys, "analyze", str(wav)))
 
 
 class TestBlur:
@@ -247,6 +261,16 @@ class TestTrainCmd:
         )
         assert code == 3
 
+    def test_mixed_manifest_exit2(self, dataset_dir, tmp_path, capsys):
+        records = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        other = json.loads(records[1])
+        other["dataset_seed"] += 1
+        mixed = dataset_dir / "mixed.jsonl"
+        mixed.write_text("\n".join([records[0], json.dumps(other)]) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
+        assert_one_line_input_error(*run_cli(capsys, "train", str(cfg), str(mixed)))
+
 
 class TestSampleCmd:
     def test_deterministic_output(self, trained, dataset_dir, tmp_path, capsys):
@@ -276,6 +300,23 @@ class TestSampleCmd:
             str(tmp_path / "x.mels"), "--index", "99",
         )
         assert code == 3
+
+    def test_held_out_mse_uses_the_evaluate_mapping(self, trained, tmp_path, capsys):
+        # a held-out manifest has its own normalization; mse_vs_gt must be
+        # measured in the checkpoint's, as evaluate measures it
+        ckpt_path, _ = trained
+        manifest = synthgen.write_dataset(synthgen.make_dataset(2, seed=7), tmp_path / "held")
+        code, out, _ = run_cli(
+            capsys, "sample", str(ckpt_path), manifest, str(tmp_path / "x.mels"),
+            "--index", "1", "--steps", "5", "--seed", "4", "--json",
+        )
+        assert code == 0
+        ckpt = trainer.Checkpoint.load(ckpt_path)
+        held = synthgen.load_dataset(manifest)
+        assert (held.norm_lo, held.norm_hi) != (ckpt.norm_lo, ckpt.norm_hi)
+        one = dataclasses.replace(held, samples=[held[1]])
+        want = trainer.evaluate(ckpt, one, 5, seed=4).global_mse
+        assert json.loads(out)["mse_vs_gt"] == pytest.approx(want, rel=1e-12)
 
 
 class TestEvalCmd:
@@ -318,6 +359,49 @@ class TestEvalCmd:
         )
         assert code == 2
 
+    def _eval_blob(self, blob, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "hostile.rdck"
+        path.write_bytes(blob)
+        return run_cli(capsys, "eval", str(path), str(dataset_dir / "manifest.jsonl"))
+
+    def test_six_byte_checkpoint_exit2(self, trained, dataset_dir, tmp_path, capsys):
+        blob = trained[0].read_bytes()[:6]
+        assert_one_line_input_error(*self._eval_blob(blob, dataset_dir, tmp_path, capsys))
+
+    def test_non_integer_arch_exit2(self, trained, dataset_dir, tmp_path, capsys):
+        blob = trained[0].read_bytes()
+        header_len = struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12 : 12 + header_len])
+        header["arch"]["n_mels"] = "x"
+        new = json.dumps(header, sort_keys=True).encode()
+        blob = blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len :]
+        code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
+        assert_one_line_input_error(code, out, err)
+        assert "n_mels" in err
+
+    @pytest.mark.parametrize(
+        "header", [b"[" * 100_000, b"[1]", b'{"arch": 5}'], ids=["nested", "array", "arch-int"]
+    )
+    def test_hostile_header_exit2(self, dataset_dir, tmp_path, capsys, header):
+        blob = b"RDCK" + struct.pack("<II", 2, len(header)) + header
+        assert_one_line_input_error(*self._eval_blob(blob, dataset_dir, tmp_path, capsys))
+
+    @pytest.mark.parametrize(
+        "record",
+        ["[1]", '{"norm": {"lo": 0, "hi": 1}, "score": 5}', "[" * 100_000],
+        ids=["array", "score-int", "nested"],
+    )
+    def test_hostile_manifest_record_exit2(self, trained, tmp_path, capsys, record):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(record + "\n")
+        assert_one_line_input_error(*run_cli(capsys, "eval", str(trained[0]), str(manifest)))
+
+    def test_trailing_bytes_exit2(self, trained, dataset_dir, tmp_path, capsys):
+        blob = trained[0].read_bytes() + b"\x00" * 8
+        code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
+        assert_one_line_input_error(code, out, err)
+        assert "trailing" in err
+
 
 class TestAblateCmd:
     def test_table_schema(self, dataset_dir, tmp_path, capsys):
@@ -341,3 +425,11 @@ class TestAblateCmd:
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("ablation.schema.json"))
         assert json.loads(out_path.read_text()) == doc
+
+    def test_bad_config_exit3(self, dataset_dir, tmp_path, capsys):
+        # the same config exits 3 from train; ablate must agree
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lambda_in": 0.5}))
+        for command in ("train", "ablate"):
+            code, _, _ = run_cli(capsys, command, str(cfg_path), str(dataset_dir / "manifest.jsonl"))
+            assert code == 3

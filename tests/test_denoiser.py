@@ -1,5 +1,7 @@
 """Noise-predictor forward/backward against hand unrolls and finite differences."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -69,15 +71,6 @@ class TestInit:
         assert names[0] == "denoise.in_w"
         assert names[-1] == "cond.b"
         assert len(names) == len(set(names))
-
-    def test_copy_independent(self):
-        params = tiny_params(randomize=5)
-        clone = params.copy()
-        for (na, a), (nb, b) in zip(params.named_arrays(), clone.named_arrays()):
-            assert na == nb
-            assert np.array_equal(a, b)
-        clone.out_w[0, 0] += 1.0
-        assert params.out_w[0, 0] != clone.out_w[0, 0]
 
 
 class TestReferenceForward:
@@ -295,4 +288,27 @@ class TestCheckpointFormat:
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(ValueError):
+            dn.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            dict(n_mels=2, hidden=3, depth=2, cond_dim=2, step_dim=4, kernel=3),
+            dict(n_mels=5, hidden=1, depth=1, cond_dim=3, step_dim=2, kernel=5),
+            dict(n_mels=80, hidden=64, depth=4, cond_dim=2, step_dim=32, kernel=3),
+        ],
+    )
+    def test_size_check_matches_the_arrays(self, tmp_path, arch):
+        # the reader checks the file size against the arch before allocating
+        params = dn.init_params(**arch)
+        assert dn._n_parameters(**arch) == params.n_parameters()
+        path = tmp_path / "a.rdck"
+        dn.save_checkpoint(path, params, {})
+        loaded, _ = dn.load_checkpoint(path)
+        assert loaded.arch() == arch
+
+    def test_rejects_oversized_header_length(self, tmp_path):
+        path = tmp_path / "h.rdck"
+        path.write_bytes(dn.CHECKPOINT_MAGIC + struct.pack("<II", dn.CHECKPOINT_VERSION, 2**32 - 1))
+        with pytest.raises(ValueError, match="exceeds"):
             dn.load_checkpoint(path)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from refdiff import diffusion
-from refdiff.dsp import MelSpectrogram
 from refdiff.transition import TransitionRegionSet, weight_map
 
 
@@ -247,26 +246,19 @@ class TestRespacedStep:
 
 
 class TestSample:
-    @staticmethod
-    def _bundle(shape):
-        ref = MelSpectrogram(data=np.zeros(shape), n_mels=shape[0], hop=128, is_log=True)
-        return diffusion.ConditionBundle(cond=np.zeros((2, shape[1])), ref_mel=ref)
-
     def test_determinism(self):
         sched = diffusion.make_schedule(20, 1e-3, 0.05)
-        bundle = self._bundle((3, 4))
 
-        def predictor(x_t, t, _):
+        def predictor(x_t, t):
             return 0.5 * x_t
 
-        a = diffusion.sample(predictor, bundle, sched, 20, seed=9)
-        b = diffusion.sample(predictor, bundle, sched, 20, seed=9)
+        a = diffusion.sample(predictor, (3, 4), sched, 20, seed=9)
+        b = diffusion.sample(predictor, (3, 4), sched, 20, seed=9)
         assert np.array_equal(a, b)
 
     def test_zero_predictor_matches_reference_unroll(self):
         sched = diffusion.make_schedule(15, 1e-3, 0.05)
-        bundle = self._bundle((2, 3))
-        got = diffusion.sample(lambda x, t, b: np.zeros_like(x), bundle, sched, 15, seed=5)
+        got = diffusion.sample(lambda x, t: np.zeros_like(x), (2, 3), sched, 15, seed=5)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 3))
         for t in range(15, 0, -1):
@@ -279,24 +271,22 @@ class TestSample:
 
     def test_point_mass_analytic_predictor(self):
         sched = diffusion.make_schedule(50, 1e-4, 0.06)
-        bundle = self._bundle((2, 2))
         c0 = 0.3
 
-        def optimal(x_t, t, _):
+        def optimal(x_t, t):
             abar = sched.alpha_bars[t - 1]
             return (x_t - np.sqrt(abar) * c0) / np.sqrt(1.0 - abar)
 
         means = np.zeros((2, 2))
         runs = 200
         for i in range(runs):
-            means += diffusion.sample(optimal, bundle, sched, 50, seed=i)
+            means += diffusion.sample(optimal, (2, 2), sched, 50, seed=i)
         means /= runs
         assert np.abs(means - c0).max() < 0.05
 
     def test_respaced_zero_predictor_matches_unroll(self):
         sched = diffusion.make_schedule(100, 1e-4, 0.06)
-        bundle = self._bundle((2, 3))
-        got = diffusion.sample(lambda x, t, b: np.zeros_like(x), bundle, sched, 24, seed=6)
+        got = diffusion.sample(lambda x, t: np.zeros_like(x), (2, 3), sched, 24, seed=6)
         ts = diffusion.sampling_steps(sched, 24)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 3))
@@ -311,13 +301,12 @@ class TestSample:
 
     def test_clip_bounds_the_output(self):
         sched = diffusion.make_schedule(100, 1e-4, 0.06)
-        bundle = self._bundle((4, 6))
         # a predictor that underestimates the noise blows up without the clip
-        def weak(x_t, t, _):
+        def weak(x_t, t):
             return 0.5 * x_t
 
-        loose = diffusion.sample(weak, bundle, sched, 100, seed=2)
-        clipped = diffusion.sample(weak, bundle, sched, 100, seed=2, clip=(-1.0, 1.0))
+        loose = diffusion.sample(weak, (4, 6), sched, 100, seed=2)
+        clipped = diffusion.sample(weak, (4, 6), sched, 100, seed=2, clip=(-1.0, 1.0))
         assert np.abs(loose).max() > 1.5
         assert np.abs(clipped).max() <= 1.0 + 1e-9
 
@@ -334,7 +323,7 @@ class TestSample:
     def test_steps_bound(self):
         sched = diffusion.make_schedule(10, 1e-3, 0.05)
         with pytest.raises(ValueError):
-            diffusion.sample(lambda x, t, b: x, self._bundle((1, 1)), sched, 11, seed=0)
+            diffusion.sample(lambda x, t: x, (1, 1), sched, 11, seed=0)
 
 
 class TestWeightedEpsLoss:

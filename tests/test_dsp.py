@@ -89,6 +89,14 @@ class TestLoadWav:
         with pytest.raises(dsp.UnreadableWavError):
             dsp.load_wav(path)
 
+    @pytest.mark.parametrize("blob", [b"RIFF", b"RIFF\x10\x00\x00\x00WAVEfmt "])
+    def test_file_ending_inside_a_chunk_field(self, tmp_path, blob):
+        # scipy raises struct.error here, not ValueError
+        path = tmp_path / "short.wav"
+        path.write_bytes(blob)
+        with pytest.raises(dsp.UnreadableWavError):
+            dsp.load_wav(path)
+
     def test_unsupported_encoding(self, tmp_path):
         from scipy.io import wavfile
 

@@ -220,6 +220,22 @@ class TestNormalization:
 
 
 class TestManifest:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("norm", {"lo": -20.0, "hi": 1.0}), ("dataset_seed", 99), ("config", None)],
+    )
+    def test_mixed_manifest_rejected(self, tmp_path, field, value):
+        import json
+
+        manifest = synthgen.write_dataset(synthgen.make_dataset(2, seed=2), tmp_path)
+        with open(manifest) as fh:
+            records = [json.loads(line) for line in fh]
+        records[1][field] = value
+        with open(manifest, "w") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+        with pytest.raises(ValueError, match="mixed manifest"):
+            synthgen.load_dataset(manifest)
+
     def test_write_load_roundtrip(self, tmp_path):
         ds = synthgen.make_dataset(3, seed=2)
         manifest = synthgen.write_dataset(ds, tmp_path)
