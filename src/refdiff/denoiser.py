@@ -110,6 +110,43 @@ class DenoiserParams:
         return {key: getattr(self, key) for key in ARCH_KEYS}
 
 
+def _zero_params(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> DenoiserParams:
+    """Every array at zero, in the shapes the architecture sizes give them."""
+    if kernel % 2 == 0 or kernel < 1:
+        raise ValueError("kernel must be a positive odd integer")
+
+    def _branch() -> BranchParams:
+        # conv_w is a (2H, H, K) view of weights stored in (2H, K, H) order,
+        # so _flatten_conv returns a view instead of copying on every pass
+        blocks = [
+            BlockParams(
+                conv_w=np.zeros((2 * hidden, kernel, hidden)).transpose(0, 2, 1),
+                conv_b=np.zeros(2 * hidden),
+            )
+            for _ in range(depth)
+        ]
+        return BranchParams(in_w=np.zeros((hidden, n_mels)), in_b=np.zeros(hidden), blocks=blocks)
+
+    return DenoiserParams(
+        n_mels=n_mels,
+        hidden=hidden,
+        depth=depth,
+        cond_dim=cond_dim,
+        step_dim=step_dim,
+        kernel=kernel,
+        denoise=_branch(),
+        ref=_branch(),
+        zero_w=[np.zeros((hidden, hidden)) for _ in range(depth)],
+        zero_b=[np.zeros(hidden) for _ in range(depth)],
+        out_w=np.zeros((n_mels, hidden)),
+        out_b=np.zeros(n_mels),
+        step_w=np.zeros((hidden, step_dim)),
+        step_b=np.zeros(hidden),
+        cond_w=np.zeros((hidden, cond_dim)),
+        cond_b=np.zeros(hidden),
+    )
+
+
 def init_params(
     n_mels: int = 80,
     hidden: int = 64,
@@ -120,52 +157,21 @@ def init_params(
     seed: int = 0,
 ) -> DenoiserParams:
     """Random initialization; both branches start from the identical draw."""
-    if kernel % 2 == 0 or kernel < 1:
-        raise ValueError("kernel must be a positive odd integer")
+    params = _zero_params(n_mels, hidden, depth, cond_dim, step_dim, kernel)
     rng = np.random.default_rng(seed)
 
-    def _branch() -> BranchParams:
-        in_w = rng.standard_normal((hidden, n_mels)) / np.sqrt(n_mels)
-        in_b = np.zeros(hidden)
-        blocks = []
-        for _ in range(depth):
-            conv_w = rng.standard_normal((2 * hidden, hidden, kernel)) / np.sqrt(hidden * kernel)
-            conv_b = np.zeros(2 * hidden)
-            blocks.append(BlockParams(conv_w=conv_w, conv_b=conv_b))
-        return BranchParams(in_w=in_w, in_b=in_b, blocks=blocks)
+    def _draw(arr: np.ndarray, fan_in: int) -> None:
+        arr[...] = rng.standard_normal(arr.shape) / np.sqrt(fan_in)
 
-    denoise = _branch()
-    ref = BranchParams(
-        in_w=denoise.in_w.copy(),
-        in_b=denoise.in_b.copy(),
-        blocks=[BlockParams(b.conv_w.copy(), b.conv_b.copy()) for b in denoise.blocks],
-    )
-    zero_w = [np.zeros((hidden, hidden)) for _ in range(depth)]
-    zero_b = [np.zeros(hidden) for _ in range(depth)]
-    out_w = rng.standard_normal((n_mels, hidden)) / np.sqrt(hidden)
-    out_b = np.zeros(n_mels)
-    step_w = rng.standard_normal((hidden, step_dim)) / np.sqrt(step_dim)
-    step_b = np.zeros(hidden)
-    cond_w = rng.standard_normal((hidden, cond_dim)) / np.sqrt(cond_dim)
-    cond_b = np.zeros(hidden)
-    return DenoiserParams(
-        n_mels=n_mels,
-        hidden=hidden,
-        depth=depth,
-        cond_dim=cond_dim,
-        step_dim=step_dim,
-        kernel=kernel,
-        denoise=denoise,
-        ref=ref,
-        zero_w=zero_w,
-        zero_b=zero_b,
-        out_w=out_w,
-        out_b=out_b,
-        step_w=step_w,
-        step_b=step_b,
-        cond_w=cond_w,
-        cond_b=cond_b,
-    )
+    _draw(params.denoise.in_w, n_mels)
+    params.ref.in_w[...] = params.denoise.in_w
+    for block, ref_block in zip(params.denoise.blocks, params.ref.blocks):
+        _draw(block.conv_w, hidden * kernel)
+        ref_block.conv_w[...] = block.conv_w
+    _draw(params.out_w, hidden)
+    _draw(params.step_w, step_dim)
+    _draw(params.cond_w, cond_dim)
+    return params
 
 
 def randomize_params(params: DenoiserParams, seed: int, scale: float = 0.3) -> DenoiserParams:
@@ -185,6 +191,7 @@ class _BranchTrace:
     x_in: np.ndarray
     hiddens: list[np.ndarray] = field(default_factory=list)  # h0..hL
     windows: list[np.ndarray] = field(default_factory=list)  # conv input windows
+    flat_w: list[np.ndarray] = field(default_factory=list)  # conv weights as (2H, K*H)
     tanh_a: list[np.ndarray] = field(default_factory=list)
     sig_b: list[np.ndarray] = field(default_factory=list)
 
@@ -209,46 +216,58 @@ def _as_matrix(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _flatten_conv(w: np.ndarray) -> np.ndarray:
+    """(C_out, C_in, K) weights as the (C_out, K*C_in) matrix that multiplies
+    the windows; a view for the arrays ``init_params`` makes, a copy otherwise."""
+    c_out, c_in, k = w.shape
+    return w.transpose(0, 2, 1).reshape(c_out, k * c_in)
+
+
+def _window_shifts(k: int, T: int):
+    """Row block j of a K-tap 'same' window matrix over T frames holds the
+    input shifted by j - (K-1)/2 frames, zero where that runs off either end.
+
+    Yields (j, the columns of block j that hold input frames, those frames).
+    """
+    radius = (k - 1) // 2
+    for j in range(k):
+        shift = j - radius
+        lo, hi = max(0, -shift), min(T, T - shift)
+        if lo < hi:
+            yield j, slice(lo, hi), slice(lo + shift, hi + shift)
+
+
 def _conv_time(
-    h: np.ndarray, w: np.ndarray, b: np.ndarray
+    h: np.ndarray, flat_w: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-padded 'same' convolution along the time axis.
 
-    Evaluated as one matmul over a (K*C_in, T) sliding-window matrix;
-    the window matrix is returned for reuse in the backward pass.
+    Evaluated as one matmul of the flattened weights (see ``_flatten_conv``)
+    over a (K*C_in, T) sliding-window matrix; the window matrix is
+    returned for reuse in the backward pass.
     """
     c_in, T = h.shape
-    k = w.shape[2]
-    radius = (k - 1) // 2
-    padded = np.zeros((c_in, T + 2 * radius))
-    padded[:, radius : radius + T] = h
-    s_row, s_col = padded.strides
-    view = np.lib.stride_tricks.as_strided(
-        padded, shape=(k, c_in, T), strides=(s_col, s_row, s_col)
-    )
-    windows = view.reshape(k * c_in, T)
-    flat_w = w.transpose(0, 2, 1).reshape(w.shape[0], k * c_in)
+    windows = np.zeros((flat_w.shape[1], T))
+    for j, cols, frames in _window_shifts(flat_w.shape[1] // c_in, T):
+        windows[j * c_in : (j + 1) * c_in, cols] = h[:, frames]
     out = flat_w @ windows
     out += b[:, None]
     return out, windows
 
 
 def _conv_time_backward(
-    d_out: np.ndarray, windows: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    c_out, c_in, k = w.shape
-    T = d_out.shape[1]
-    radius = (k - 1) // 2
-    flat_w = w.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    d_flat_w = d_out @ windows.T
-    d_w = d_flat_w.reshape(c_out, k, c_in).transpose(0, 2, 1).copy()
+    d_out: np.ndarray, windows: np.ndarray, flat_w: np.ndarray, d_w: np.ndarray, d_b: np.ndarray
+) -> np.ndarray:
+    """Add the weight and bias gradients into ``d_w`` (C_out, C_in, K) and
+    ``d_b``; return the gradient of the convolution's input."""
+    c_out, c_in, k = d_w.shape
+    d_w += (d_out @ windows.T).reshape(c_out, k, c_in).transpose(0, 2, 1)
+    d_b += d_out.sum(axis=1)
     d_windows = flat_w.T @ d_out
-    d_padded = np.zeros((c_in, T + 2 * radius))
-    for j in range(k):
-        d_padded[:, j : j + T] += d_windows[j * c_in : (j + 1) * c_in]
-    d_b = d_out.sum(axis=1)
-    d_h = d_padded[:, radius : radius + T]
-    return d_w, d_b, d_h
+    d_h = np.zeros((c_in, d_out.shape[1]))
+    for j, cols, frames in _window_shifts(k, d_out.shape[1]):
+        d_h[:, frames] += d_windows[j * c_in : (j + 1) * c_in, cols]
+    return d_h
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -270,33 +289,35 @@ def _gate_forward(pre: np.ndarray, hidden: int, gate: str):
 def _run_branch(
     branch: BranchParams,
     x: np.ndarray,
-    bias_terms: list[np.ndarray | None],
+    bias: np.ndarray,
     injections: list[np.ndarray] | None,
     hidden: int,
     gate: str,
 ) -> _BranchTrace:
     """Shared forward for both branches.
 
-    ``bias_terms[i]`` is added to both halves of block i's pre-activation
-    (step + condition projections); ``injections[i]``, when given, is
-    added after the gate, before the residual add.
+    ``bias`` (H x T, the step + condition projections) is added to both
+    halves of every block's pre-activation; ``injections[i]``, when
+    given, is added after the gate, before the residual add.
     """
     trace = _BranchTrace(x_in=x)
-    h = branch.in_w @ x + branch.in_b[:, None]
+    h = branch.in_w @ x
+    h += branch.in_b[:, None]
     trace.hiddens.append(h)
     for i, block in enumerate(branch.blocks):
-        pre, windows = _conv_time(h, block.conv_w, block.conv_b)
-        extra = bias_terms[i]
-        if extra is not None:
-            pre[:hidden] += extra
-            pre[hidden:] += extra
+        flat_w = _flatten_conv(block.conv_w)
+        pre, windows = _conv_time(h, flat_w, block.conv_b)
+        halves = pre.reshape(2, hidden, -1)
+        halves += bias
         g, ta, sb = _gate_forward(pre, hidden, gate)
         trace.windows.append(windows)
+        trace.flat_w.append(flat_w)
         trace.tanh_a.append(ta)
         trace.sig_b.append(sb)
         if injections is not None:
-            g = g + injections[i]
-        h = h + g
+            g += injections[i]
+        g += h  # the residual add; g is this block's own array
+        h = g
         trace.hiddens.append(h)
     return trace
 
@@ -319,10 +340,9 @@ def reference_forward(
         raise ValueError("reference rows must equal n_mels")
     if cond.shape != (params.cond_dim, x.shape[1]):
         raise ValueError("cond must be (cond_dim, T) with T matching the reference")
-    c = params.cond_w @ cond + params.cond_b[:, None]
-    branch_trace = _run_branch(
-        params.ref, x, [c] * params.depth, None, params.hidden, gate
-    )
+    c = params.cond_w @ cond
+    c += params.cond_b[:, None]
+    branch_trace = _run_branch(params.ref, x, c, None, params.hidden, gate)
     hiddens = branch_trace.hiddens[1:]
     if trace is not None:
         trace.gate = gate
@@ -374,16 +394,18 @@ def denoiser_forward(
 
     emb = step_embedding(t, params.step_dim)
     s = params.step_w @ emb + params.step_b
-    c = params.cond_w @ cond + params.cond_b[:, None]
-    bias = s[:, None] + c
-    injections = [
-        params.zero_w[i] @ ref_hidden[i] + params.zero_b[i][:, None]
-        for i in range(params.depth)
-    ]
-    branch_trace = _run_branch(
-        params.denoise, x_t, [bias] * params.depth, injections, params.hidden, gate
-    )
-    eps_hat = params.out_w @ branch_trace.hiddens[-1] + params.out_b[:, None] + x_t
+    bias = params.cond_w @ cond
+    bias += params.cond_b[:, None]
+    bias += s[:, None]
+    injections = []
+    for i in range(params.depth):
+        injection = params.zero_w[i] @ ref_hidden[i]
+        injection += params.zero_b[i][:, None]
+        injections.append(injection)
+    branch_trace = _run_branch(params.denoise, x_t, bias, injections, params.hidden, gate)
+    eps_hat = params.out_w @ branch_trace.hiddens[-1]
+    eps_hat += params.out_b[:, None]
+    eps_hat += x_t
 
     trace.cond = cond
     trace.den = branch_trace
@@ -399,20 +421,33 @@ def _validate_gate(gate: str) -> None:
         raise ValueError(f"gate must be one of {GATE_MODES}")
 
 
-def _gate_backward(d_g: np.ndarray, trace: _BranchTrace, i: int, gate: str):
+def _gate_backward(d_g: np.ndarray, trace: _BranchTrace, i: int, gate: str) -> np.ndarray:
+    """d loss / d pre-activation of block i: the tanh half over the sigmoid half."""
+    hidden = d_g.shape[0]
+    d_pre = np.empty((2 * hidden, d_g.shape[1]))
+    d_a, d_b = d_pre[:hidden], d_pre[hidden:]
     if gate == "gated":
         ta = trace.tanh_a[i]
         sb = trace.sig_b[i]
-        d_a = d_g * sb * (1.0 - ta * ta)
-        d_b = d_g * ta * sb * (1.0 - sb)
+        slope = ta * ta
+        np.subtract(1.0, slope, out=slope)  # 1 - tanh^2
+        np.multiply(d_g, sb, out=d_a)
+        d_a *= slope
+        np.subtract(1.0, sb, out=slope)  # 1 - sigmoid
+        np.multiply(d_g, ta, out=d_b)
+        d_b *= sb
+        d_b *= slope
     else:
-        d_a = d_g
-        d_b = d_g.copy()
-    return d_a, d_b
+        d_a[...] = d_g
+        d_b[...] = d_g
+    return d_pre
 
 
 def backward(
-    params: DenoiserParams, trace: ForwardTrace, loss_grad: np.ndarray
+    params: DenoiserParams,
+    trace: ForwardTrace,
+    loss_grad: np.ndarray,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
@@ -420,65 +455,69 @@ def backward(
     When the trace holds a recorded reference pass, gradients flow back
     through the reference branch via the zero-linear maps; otherwise the
     reference hidden states are treated as constants.
+
+    The gradients are added into ``grads`` (a ``zero_grads`` dict), which
+    is returned; without one they are added to fresh zeros.  Each array
+    receives exactly one addition per call, so summing a batch this way
+    equals adding the items' fresh results in the same order.
     """
     if trace.den is None or trace.eps_shape is None:
         raise ValueError("trace does not contain a denoiser forward pass")
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
     if loss_grad.shape != trace.eps_shape:
         raise ValueError("loss gradient shape does not match the traced output")
-    grads = zero_grads(params)
+    if grads is None:
+        grads = zero_grads(params)
     gate = trace.gate
     den = trace.den
     H = params.hidden
     L = params.depth
 
-    grads["out.w"][...] = loss_grad @ den.hiddens[-1].T
-    grads["out.b"][...] = loss_grad.sum(axis=1)
+    grads["out.w"] += loss_grad @ den.hiddens[-1].T
+    grads["out.b"] += loss_grad.sum(axis=1)
     d_h = params.out_w.T @ loss_grad
 
     d_s = np.zeros(H)
     d_c = np.zeros((H, trace.cond.shape[1]))
     d_ref_hidden = [None] * L
     for i in range(L - 1, -1, -1):
-        d_g = d_h
-        grads[f"zero{i}.w"][...] = d_g @ trace.ref_hidden[i].T
-        grads[f"zero{i}.b"][...] = d_g.sum(axis=1)
-        d_ref_hidden[i] = params.zero_w[i].T @ d_g
-        d_a, d_b = _gate_backward(d_g, den, i, gate)
-        both = d_a + d_b
+        grads[f"zero{i}.w"] += d_h @ trace.ref_hidden[i].T
+        grads[f"zero{i}.b"] += d_h.sum(axis=1)
+        d_ref_hidden[i] = params.zero_w[i].T @ d_h
+        d_pre = _gate_backward(d_h, den, i, gate)
+        both = d_pre[:H] + d_pre[H:]
         d_s += both.sum(axis=1)
         d_c += both
-        d_pre = np.concatenate([d_a, d_b], axis=0)
-        block = params.denoise.blocks[i]
-        d_w, d_bias, d_h_conv = _conv_time_backward(d_pre, den.windows[i], block.conv_w)
-        grads[f"denoise.block{i}.conv_w"][...] = d_w
-        grads[f"denoise.block{i}.conv_b"][...] = d_bias
-        d_h = d_h + d_h_conv
-    grads["denoise.in_w"][...] = d_h @ den.x_in.T
-    grads["denoise.in_b"][...] = d_h.sum(axis=1)
+        block = f"denoise.block{i}"
+        d_h_conv = _conv_time_backward(
+            d_pre, den.windows[i], den.flat_w[i], grads[f"{block}.conv_w"], grads[f"{block}.conv_b"]
+        )
+        d_h_conv += d_h
+        d_h = d_h_conv
+    grads["denoise.in_w"] += d_h @ den.x_in.T
+    grads["denoise.in_b"] += d_h.sum(axis=1)
 
     if trace.ref is not None:
         ref = trace.ref
         d_hr = d_ref_hidden[L - 1]
         for i in range(L - 1, -1, -1):
-            d_g = d_hr
-            d_a, d_b = _gate_backward(d_g, ref, i, gate)
-            d_c += d_a + d_b
-            d_pre = np.concatenate([d_a, d_b], axis=0)
-            block = params.ref.blocks[i]
-            d_w, d_bias, d_hr_conv = _conv_time_backward(d_pre, ref.windows[i], block.conv_w)
-            grads[f"ref.block{i}.conv_w"][...] = d_w
-            grads[f"ref.block{i}.conv_b"][...] = d_bias
-            d_hr = d_hr + d_hr_conv
+            d_pre = _gate_backward(d_hr, ref, i, gate)
+            d_c += d_pre[:H] + d_pre[H:]
+            block = f"ref.block{i}"
+            d_hr_conv = _conv_time_backward(
+                d_pre, ref.windows[i], ref.flat_w[i], grads[f"{block}.conv_w"], grads[f"{block}.conv_b"]
+            )
+            d_hr_conv += d_hr
+            d_hr = d_hr_conv
             if i > 0:
-                d_hr = d_hr + d_ref_hidden[i - 1]
-        grads["ref.in_w"][...] = d_hr @ ref.x_in.T
-        grads["ref.in_b"][...] = d_hr.sum(axis=1)
+                d_hr += d_ref_hidden[i - 1]
+        grads["ref.in_w"] += d_hr @ ref.x_in.T
+        grads["ref.in_b"] += d_hr.sum(axis=1)
 
-    grads["step.w"][...] = np.outer(d_s, trace.emb)
-    grads["step.b"][...] = d_s
-    grads["cond.w"][...] = d_c @ trace.cond.T
-    grads["cond.b"][...] = d_c.sum(axis=1)
+    grads["step.w"] += np.outer(d_s, trace.emb)
+    grads["step.b"] += d_s
+    grads["cond.w"] += d_c @ trace.cond.T
+    grads["cond.b"] += d_c.sum(axis=1)
     return grads
 
 
@@ -513,18 +552,17 @@ def grad_check(
 
     worst = 0.0
     for name, arr in params.named_arrays():
-        flat = arr.reshape(-1)
-        g_flat = grads[name].reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
+        for j in np.ndindex(arr.shape):
+            orig = arr[j]
+            arr[j] = orig + h
             up = loss_of()
-            flat[j] = orig - h
+            arr[j] = orig - h
             down = loss_of()
-            flat[j] = orig
+            arr[j] = orig
             numeric = (up - down) / (2.0 * h)
-            denom = max(abs(g_flat[j]), abs(numeric), 1e-8)
-            worst = max(worst, abs(g_flat[j] - numeric) / denom)
+            analytic = grads[name][j]
+            denom = max(abs(analytic), abs(numeric), 1e-8)
+            worst = max(worst, abs(analytic - numeric) / denom)
     return worst
 
 
@@ -585,9 +623,10 @@ def load_checkpoint(path) -> tuple[DenoiserParams, dict]:
     Any malformed file raises ValueError: a wrong magic or version, a
     file that ends inside the fixed fields or the header, a header
     longer than MAX_HEADER_BYTES or not a JSON object, an arch that is
-    not six positive integers, or parameter bytes, trailing ones
-    included, that do not add up to what the arch needs.  The size is
-    checked before any array is allocated.
+    not six positive integers (the kernel odd), parameter bytes,
+    trailing ones included, that do not add up to what the arch needs,
+    or a parameter that is NaN or infinite.  The size is checked before
+    any array is allocated.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -609,7 +648,12 @@ def load_checkpoint(path) -> tuple[DenoiserParams, dict]:
         if remaining != needed:
             kind = "truncated" if remaining < needed else "trailing bytes in"
             raise ValueError(f"{kind} checkpoint: {remaining} parameter bytes, its arch needs {needed}")
-        params = init_params(seed=0, **arch)
-        for _, arr in params.named_arrays():
-            arr[...] = np.frombuffer(fh.read(8 * arr.size), dtype="<f8").reshape(arr.shape)
+        values = np.frombuffer(fh.read(needed), dtype="<f8")
+    if not np.isfinite(values).all():
+        raise ValueError(f"checkpoint {path} holds a NaN or infinite parameter value")
+    params = _zero_params(**arch)
+    offset = 0
+    for _, arr in params.named_arrays():
+        arr[...] = values[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
     return params, header

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,10 +152,14 @@ def load_wav(path) -> AudioBuffer:
     """Read a PCM16 or IEEE float32 RIFF/WAVE file as mono audio.
 
     Multichannel files keep only the first channel.  PCM16 samples are
-    scaled by 1/32768; float samples are clipped to [-1, 1].
+    scaled by 1/32768; float samples are clipped to [-1, 1].  A file
+    that ends before the length its header gives is unreadable.
     """
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            # scipy only warns when the file ends before the size its header
+            # gives, and returns the shortened audio; other warnings pass
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
             sample_rate, data = wavfile.read(fh)
     except FileNotFoundError:
         raise UnreadableWavError(f"cannot open WAV file: {path}") from None
@@ -162,7 +167,7 @@ def load_wav(path) -> AudioBuffer:
         # scipy's parser raises more than ValueError on a malformed file:
         # struct.error or EOFError when it ends inside a chunk field,
         # ZeroDivisionError for zero channels, UnboundLocalError when the
-        # RIFF size ends before the data chunk
+        # RIFF size ends before the data chunk; the EOF warning raised above
         raise UnreadableWavError(f"not a readable WAV file: {path} ({exc})") from None
     if data.ndim > 1:
         data = data[:, 0]

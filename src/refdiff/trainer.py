@@ -16,7 +16,9 @@ into transition-region and non-region entries using the oracle regions.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -65,6 +67,17 @@ class TrainConfig:
     log_floor: float = 1e-5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is bool:
+                ok, kind = isinstance(value, bool), "true or false"
+            elif type(f.default) is int:
+                ok, kind = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+            else:
+                ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+                kind = "a finite number"
+            if not ok:
+                raise TypeError(f"{f.name} must be {kind}, got {value!r}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.total_steps < 1:
             raise ValueError("learning rate, batch size and step count must be positive")
         if self.lambda_in < 1.0:
@@ -204,9 +217,14 @@ def adam_step(
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        # arr -= lr * m_hat / (sqrt(v_hat) + eps), one operation at a time
+        step = m / (1.0 - beta1**t)
+        step *= lr
+        denom = v / (1.0 - beta2**t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        arr -= step
     return params, state
 
 
@@ -263,9 +281,7 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
                 params, x_t, t, item.cond, hiddens, trace=trace
             )
             loss, loss_grad = weighted_eps_loss(noise, eps_hat, item.weights)
-            grads = dn.backward(params, trace, loss_grad)
-            for name in batch_grads:
-                batch_grads[name] += grads[name]
+            dn.backward(params, trace, loss_grad, batch_grads)
             batch_loss += loss
         for name in batch_grads:
             batch_grads[name] /= config.batch_size

@@ -9,6 +9,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from refdiff import cli, dsp, synthgen, trainer
 from refdiff.synthgen import ScoreSpec, render_mel
@@ -121,6 +122,26 @@ class TestAnalyze:
         wav = tmp_path / "riff.wav"
         wav.write_bytes(b"RIFF")
         assert_one_line_input_error(*run_cli(capsys, "analyze", str(wav)))
+
+    def test_short_data_chunk_exit2(self, tmp_path, capsys):
+        # the file ends inside the data chunk, before the size its header gives
+        wav = tmp_path / "cut.wav"
+        write_silence_wav(wav)
+        blob = wav.read_bytes()
+        wav.write_bytes(blob[: len(blob) // 2])
+        assert_one_line_input_error(*run_cli(capsys, "analyze", str(wav)))
+
+    def test_unknown_chunk_still_loads(self, tmp_path, capsys):
+        wav = tmp_path / "extra.wav"
+        write_silence_wav(wav)
+        blob = wav.read_bytes()
+        extra = b"xtra" + struct.pack("<I", 4) + b"\x00" * 4
+        riff_size = struct.unpack("<I", blob[4:8])[0] + len(extra)
+        wav.write_bytes(blob[:4] + struct.pack("<I", riff_size) + blob[8:] + extra)
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            code, out, _ = run_cli(capsys, "analyze", str(wav), "--json")
+        assert code == 0
+        assert json.loads(out)["regions"] == []
 
 
 class TestBlur:
@@ -261,6 +282,18 @@ class TestTrainCmd:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("log_floor", "x"), ("batch_size", 2.5), ("blur", "yes"), ("learning_rate", float("nan"))],
+    )
+    def test_wrongly_typed_config_exit3(self, dataset_dir, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2, field: value}))
+        code, out, err = run_cli(capsys, "train", str(bad), str(dataset_dir / "manifest.jsonl"))
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and field in err
+
     def test_mixed_manifest_exit2(self, dataset_dir, tmp_path, capsys):
         records = (dataset_dir / "manifest.jsonl").read_text().splitlines()
         other = json.loads(records[1])
@@ -368,16 +401,32 @@ class TestEvalCmd:
         blob = trained[0].read_bytes()[:6]
         assert_one_line_input_error(*self._eval_blob(blob, dataset_dir, tmp_path, capsys))
 
-    def test_non_integer_arch_exit2(self, trained, dataset_dir, tmp_path, capsys):
-        blob = trained[0].read_bytes()
+    @staticmethod
+    def _edit_header(blob, edit):
         header_len = struct.unpack("<I", blob[8:12])[0]
         header = json.loads(blob[12 : 12 + header_len])
-        header["arch"]["n_mels"] = "x"
+        edit(header)
         new = json.dumps(header, sort_keys=True).encode()
-        blob = blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len :]
+        return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len :]
+
+    def test_non_integer_arch_exit2(self, trained, dataset_dir, tmp_path, capsys):
+        blob = self._edit_header(trained[0].read_bytes(), lambda h: h["arch"].update(n_mels="x"))
         code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
         assert_one_line_input_error(code, out, err)
         assert "n_mels" in err
+
+    def test_wrongly_typed_config_exit2(self, trained, dataset_dir, tmp_path, capsys):
+        blob = self._edit_header(trained[0].read_bytes(), lambda h: h["config"].update(log_floor="x"))
+        code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
+        assert_one_line_input_error(code, out, err)
+        assert "log_floor" in err
+
+    def test_non_finite_parameter_exit2(self, trained, dataset_dir, tmp_path, capsys):
+        # the last block, cond.b, has hidden = 8 values
+        blob = trained[0].read_bytes()[:-64] + np.full(8, np.nan).astype("<f8").tobytes()
+        code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
+        assert_one_line_input_error(code, out, err)
+        assert "NaN" in err
 
     @pytest.mark.parametrize(
         "header", [b"[" * 100_000, b"[1]", b'{"arch": 5}'], ids=["nested", "array", "arch-int"]

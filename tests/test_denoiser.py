@@ -271,7 +271,7 @@ class TestCheckpointFormat:
         loaded, header_back = dn.load_checkpoint(path)
         for (na, a), (nb, b) in zip(params.named_arrays(), loaded.named_arrays()):
             assert na == nb
-            assert np.array_equal(a, b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert header_back["schedule"]["T"] == 10
         assert header_back["arch"]["hidden"] == 3
 
@@ -306,6 +306,15 @@ class TestCheckpointFormat:
         dn.save_checkpoint(path, params, {})
         loaded, _ = dn.load_checkpoint(path)
         assert loaded.arch() == arch
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_parameters(self, tmp_path, value):
+        params = tiny_params(randomize=22)
+        params.denoise.blocks[0].conv_w[1, 2, 0] = value
+        path = tmp_path / "n.rdck"
+        dn.save_checkpoint(path, params, {})
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            dn.load_checkpoint(path)
 
     def test_rejects_oversized_header_length(self, tmp_path):
         path = tmp_path / "h.rdck"

@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from refdiff import cli, diffusion, dsp, synthgen, trainer
 from refdiff import denoiser as dn
 
-# scipy warns about the truncated WAVs it still reads; the exit code is what counts
-pytestmark = pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
 FUZZ = settings(
     max_examples=40,
     derandomize=True,  # the same examples on every run, so the gate cannot flake

@@ -258,6 +258,24 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             trainer.evaluate(ckpt, small_dataset, steps=101)
 
+    @pytest.mark.parametrize("steps", [1, 7, 100])
+    def test_sampling_calls_denoiser_forward_once_per_visited_step(self, small_dataset, monkeypatch, steps):
+        # the benchmark times the denoiser by wrapping dn.denoiser_forward,
+        # so sampling must reach it, by that name, at every visited step
+        cfg = tiny_train_config(total_steps=2)
+        ckpt, _ = trainer.train(cfg, small_dataset)
+        prepared = trainer.prepare_sample(small_dataset[0], cfg, ckpt.norm_lo, ckpt.norm_hi)
+        visited = []
+        forward = dn.denoiser_forward
+
+        def counting_forward(params, x_t, t, *args, **kwargs):
+            visited.append(t)
+            return forward(params, x_t, t, *args, **kwargs)
+
+        monkeypatch.setattr(dn, "denoiser_forward", counting_forward)
+        trainer.sample_prepared(ckpt, prepared, steps, seed=0)
+        assert visited == [int(t) for t in diffusion.sampling_steps(ckpt.schedule, steps)]
+
 
 class TestCheckpointRoundtrip:
     def test_save_load(self, small_dataset, tmp_path):
