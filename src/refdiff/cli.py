@@ -56,6 +56,24 @@ def _load_spectrogram(path: str) -> dsp.MelSpectrogram:
     raise InputError(f"unrecognized input format: {path}")
 
 
+def _detector_config(mel: dsp.MelSpectrogram, args, **extra) -> transition.TransitionConfig:
+    """The transition detector's settings from ``--k``/``--w``, checked
+    against ``mel``.  Detection needs a linear-domain spectrogram of
+    T >= max(2, (k+1)//2) frames: two to see a crossing, and (k+1)//2
+    for the reflect-padded smoothing window."""
+    if mel.is_log:
+        raise InputError("transition detection needs a linear-domain spectrogram")
+    if args.k < 1 or args.k % 2 == 0 or args.w < 1:
+        raise ParamError("k must be odd and positive, w must be >= 1")
+    need = max(2, (args.k + 1) // 2)
+    if mel.n_frames < need:
+        raise InputError(
+            f"spectrogram has T={mel.n_frames} frames; transition detection "
+            f"with k={args.k} needs at least {need}"
+        )
+    return transition.TransitionConfig(smooth_k=args.k, window_w=args.w, **extra)
+
+
 def _emit(doc: dict, as_json: bool, summary: str) -> None:
     if as_json:
         print(json.dumps(doc, sort_keys=True))
@@ -65,11 +83,7 @@ def _emit(doc: dict, as_json: bool, summary: str) -> None:
 
 def cmd_analyze(args) -> int:
     mel = _load_spectrogram(args.input)
-    if mel.is_log:
-        raise InputError("transition analysis needs a linear-domain spectrogram")
-    if args.k < 1 or args.k % 2 == 0 or args.w < 1:
-        raise ParamError("k must be odd and positive, w must be >= 1")
-    cfg = transition.TransitionConfig(smooth_k=args.k, window_w=args.w, eps=args.eps)
+    cfg = _detector_config(mel, args, eps=args.eps)
     series, regions = transition.analyze(mel, cfg)
     report = transition.region_report(series, regions, mel.hop, cfg, args.region_weight)
     _emit(
@@ -97,10 +111,7 @@ def cmd_blur(args) -> int:
         except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
             raise InputError(f"bad region report {args.regions}: {exc}") from None
     else:
-        if mel.is_log:
-            raise InputError("auto-detection needs a linear-domain spectrogram")
-        cfg = transition.TransitionConfig(smooth_k=args.k, window_w=args.w)
-        _, regions = transition.analyze(mel, cfg)
+        _, regions = transition.analyze(mel, _detector_config(mel, args))
     blurred = transition.blur_regions(mel, regions, kernel)
     dsp.write_mels(args.output, blurred)
     _emit(

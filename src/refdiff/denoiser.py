@@ -28,7 +28,6 @@ import numpy as np
 
 from .dsp import MelSpectrogram
 
-GATE_MODES = ("gated", "linear")
 ARCH_KEYS = ("n_mels", "hidden", "depth", "cond_dim", "step_dim", "kernel")
 
 
@@ -200,7 +199,6 @@ class _BranchTrace:
 class ForwardTrace:
     """Cached activations for one forward pass, consumed by backward()."""
 
-    gate: str = "gated"
     cond: np.ndarray | None = None
     ref: _BranchTrace | None = None
     den: _BranchTrace | None = None
@@ -276,29 +274,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return expit(x)
 
 
-def _gate_forward(pre: np.ndarray, hidden: int, gate: str):
-    a = pre[:hidden]
-    b = pre[hidden:]
-    if gate == "gated":
-        ta = np.tanh(a)
-        sb = _sigmoid(b)
-        return ta * sb, ta, sb
-    return a + b, a, b  # linear test mode
-
-
 def _run_branch(
     branch: BranchParams,
     x: np.ndarray,
     bias: np.ndarray,
     injections: list[np.ndarray] | None,
     hidden: int,
-    gate: str,
 ) -> _BranchTrace:
     """Shared forward for both branches.
 
     ``bias`` (H x T, the step + condition projections) is added to both
     halves of every block's pre-activation; ``injections[i]``, when
-    given, is added after the gate, before the residual add.
+    given, is added after the gate tanh(a) * sigmoid(b), before the
+    residual add.
     """
     trace = _BranchTrace(x_in=x)
     h = branch.in_w @ x
@@ -309,7 +297,9 @@ def _run_branch(
         pre, windows = _conv_time(h, flat_w, block.conv_b)
         halves = pre.reshape(2, hidden, -1)
         halves += bias
-        g, ta, sb = _gate_forward(pre, hidden, gate)
+        ta = np.tanh(pre[:hidden])
+        sb = _sigmoid(pre[hidden:])
+        g = ta * sb
         trace.windows.append(windows)
         trace.flat_w.append(flat_w)
         trace.tanh_a.append(ta)
@@ -327,7 +317,6 @@ def reference_forward(
     ref_mel,
     cond: np.ndarray,
     trace: ForwardTrace | None = None,
-    gate: str = "gated",
 ) -> list[np.ndarray]:
     """Run the reference branch; returns each block's output (H x T).
 
@@ -335,17 +324,15 @@ def reference_forward(
     """
     x = _as_matrix(ref_mel)
     cond = np.asarray(cond, dtype=np.float64)
-    _validate_gate(gate)
     if x.shape[0] != params.n_mels:
         raise ValueError("reference rows must equal n_mels")
     if cond.shape != (params.cond_dim, x.shape[1]):
         raise ValueError("cond must be (cond_dim, T) with T matching the reference")
     c = params.cond_w @ cond
     c += params.cond_b[:, None]
-    branch_trace = _run_branch(params.ref, x, c, None, params.hidden, gate)
+    branch_trace = _run_branch(params.ref, x, c, None, params.hidden)
     hiddens = branch_trace.hiddens[1:]
     if trace is not None:
-        trace.gate = gate
         trace.cond = cond
         trace.ref = branch_trace
         trace.ref_hidden = hiddens
@@ -359,7 +346,6 @@ def denoiser_forward(
     cond: np.ndarray,
     ref_hidden: list[np.ndarray] | None,
     trace: ForwardTrace | None = None,
-    gate: str = "gated",
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Predict the injected noise for x_t at step t (output includes the + x_t skip).
 
@@ -370,7 +356,6 @@ def denoiser_forward(
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
-    _validate_gate(gate)
     F, T = x_t.shape
     if F != params.n_mels:
         raise ValueError("x_t rows must equal n_mels")
@@ -386,9 +371,7 @@ def denoiser_forward(
     if t < 1:
         raise ValueError("step must be >= 1")
     if trace is None:
-        trace = ForwardTrace(gate=gate)
-    elif trace.gate != gate:
-        raise ValueError("gate mode differs from the recorded reference pass")
+        trace = ForwardTrace()
     if trace.cond is not None and trace.cond.shape != cond.shape:
         raise ValueError("cond shape differs from the recorded reference pass")
 
@@ -402,7 +385,7 @@ def denoiser_forward(
         injection = params.zero_w[i] @ ref_hidden[i]
         injection += params.zero_b[i][:, None]
         injections.append(injection)
-    branch_trace = _run_branch(params.denoise, x_t, bias, injections, params.hidden, gate)
+    branch_trace = _run_branch(params.denoise, x_t, bias, injections, params.hidden)
     eps_hat = params.out_w @ branch_trace.hiddens[-1]
     eps_hat += params.out_b[:, None]
     eps_hat += x_t
@@ -416,31 +399,38 @@ def denoiser_forward(
     return eps_hat, trace
 
 
-def _validate_gate(gate: str) -> None:
-    if gate not in GATE_MODES:
-        raise ValueError(f"gate must be one of {GATE_MODES}")
+def _block_backward(
+    d_h: np.ndarray, branch: _BranchTrace, i: int, grads: dict, name: str, d_c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backward through block i of either branch, mirroring ``_run_branch``.
 
-
-def _gate_backward(d_g: np.ndarray, trace: _BranchTrace, i: int, gate: str) -> np.ndarray:
-    """d loss / d pre-activation of block i: the tanh half over the sigmoid half."""
-    hidden = d_g.shape[0]
-    d_pre = np.empty((2 * hidden, d_g.shape[1]))
+    ``d_h`` is d loss / d the block's output.  Adds the conv gradients
+    into ``grads`` and the gradient of the bias that both gate halves
+    received into ``d_c``; returns d loss / d the block's input and that
+    bias gradient.
+    """
+    hidden = d_h.shape[0]
+    # d loss / d pre-activation: the tanh half over the sigmoid half
+    d_pre = np.empty((2 * hidden, d_h.shape[1]))
     d_a, d_b = d_pre[:hidden], d_pre[hidden:]
-    if gate == "gated":
-        ta = trace.tanh_a[i]
-        sb = trace.sig_b[i]
-        slope = ta * ta
-        np.subtract(1.0, slope, out=slope)  # 1 - tanh^2
-        np.multiply(d_g, sb, out=d_a)
-        d_a *= slope
-        np.subtract(1.0, sb, out=slope)  # 1 - sigmoid
-        np.multiply(d_g, ta, out=d_b)
-        d_b *= sb
-        d_b *= slope
-    else:
-        d_a[...] = d_g
-        d_b[...] = d_g
-    return d_pre
+    ta = branch.tanh_a[i]
+    sb = branch.sig_b[i]
+    slope = ta * ta
+    np.subtract(1.0, slope, out=slope)  # 1 - tanh^2
+    np.multiply(d_h, sb, out=d_a)
+    d_a *= slope
+    np.subtract(1.0, sb, out=slope)  # 1 - sigmoid
+    np.multiply(d_h, ta, out=d_b)
+    d_b *= sb
+    d_b *= slope
+    d_bias = d_a + d_b
+    d_c += d_bias
+    block = f"{name}.block{i}"
+    d_in = _conv_time_backward(
+        d_pre, branch.windows[i], branch.flat_w[i], grads[f"{block}.conv_w"], grads[f"{block}.conv_b"]
+    )
+    d_in += d_h  # the residual add
+    return d_in, d_bias
 
 
 def backward(
@@ -468,7 +458,6 @@ def backward(
         raise ValueError("loss gradient shape does not match the traced output")
     if grads is None:
         grads = zero_grads(params)
-    gate = trace.gate
     den = trace.den
     H = params.hidden
     L = params.depth
@@ -484,35 +473,20 @@ def backward(
         grads[f"zero{i}.w"] += d_h @ trace.ref_hidden[i].T
         grads[f"zero{i}.b"] += d_h.sum(axis=1)
         d_ref_hidden[i] = params.zero_w[i].T @ d_h
-        d_pre = _gate_backward(d_h, den, i, gate)
-        both = d_pre[:H] + d_pre[H:]
-        d_s += both.sum(axis=1)
-        d_c += both
-        block = f"denoise.block{i}"
-        d_h_conv = _conv_time_backward(
-            d_pre, den.windows[i], den.flat_w[i], grads[f"{block}.conv_w"], grads[f"{block}.conv_b"]
-        )
-        d_h_conv += d_h
-        d_h = d_h_conv
+        d_h, d_bias = _block_backward(d_h, den, i, grads, "denoise", d_c)
+        d_s += d_bias.sum(axis=1)
     grads["denoise.in_w"] += d_h @ den.x_in.T
     grads["denoise.in_b"] += d_h.sum(axis=1)
 
     if trace.ref is not None:
         ref = trace.ref
-        d_hr = d_ref_hidden[L - 1]
+        d_h = d_ref_hidden[L - 1]
         for i in range(L - 1, -1, -1):
-            d_pre = _gate_backward(d_hr, ref, i, gate)
-            d_c += d_pre[:H] + d_pre[H:]
-            block = f"ref.block{i}"
-            d_hr_conv = _conv_time_backward(
-                d_pre, ref.windows[i], ref.flat_w[i], grads[f"{block}.conv_w"], grads[f"{block}.conv_b"]
-            )
-            d_hr_conv += d_hr
-            d_hr = d_hr_conv
+            d_h, _ = _block_backward(d_h, ref, i, grads, "ref", d_c)
             if i > 0:
-                d_hr += d_ref_hidden[i - 1]
-        grads["ref.in_w"] += d_hr @ ref.x_in.T
-        grads["ref.in_b"] += d_hr.sum(axis=1)
+                d_h += d_ref_hidden[i - 1]
+        grads["ref.in_w"] += d_h @ ref.x_in.T
+        grads["ref.in_b"] += d_h.sum(axis=1)
 
     grads["step.w"] += np.outer(d_s, trace.emb)
     grads["step.b"] += d_s
@@ -529,7 +503,6 @@ def grad_check(
     ref_mel: np.ndarray,
     target: np.ndarray,
     h: float = 1e-5,
-    gate: str = "gated",
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -539,14 +512,14 @@ def grad_check(
     """
 
     def loss_of() -> float:
-        hiddens = reference_forward(params, ref_mel, cond, gate=gate)
-        eps_hat, _ = denoiser_forward(params, x_t, t, cond, hiddens, gate=gate)
+        hiddens = reference_forward(params, ref_mel, cond)
+        eps_hat, _ = denoiser_forward(params, x_t, t, cond, hiddens)
         diff = eps_hat - target
         return float((diff * diff).mean())
 
     trace = ForwardTrace()
-    hiddens = reference_forward(params, ref_mel, cond, trace=trace, gate=gate)
-    eps_hat, trace = denoiser_forward(params, x_t, t, cond, hiddens, trace=trace, gate=gate)
+    hiddens = reference_forward(params, ref_mel, cond, trace=trace)
+    eps_hat, trace = denoiser_forward(params, x_t, t, cond, hiddens, trace=trace)
     loss_grad = 2.0 * (eps_hat - target) / eps_hat.size
     grads = backward(params, trace, loss_grad)
 

@@ -117,13 +117,6 @@ def q_step(x_prev: np.ndarray, t: int, noise: np.ndarray, schedule: NoiseSchedul
     return np.sqrt(1.0 - beta) * x_prev + np.sqrt(beta) * noise
 
 
-def invert_q_sample(x_t: np.ndarray, t: int, noise: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:
-    """Exact inversion of q_sample given the noise that was used."""
-    _check_step(t, schedule)
-    abar = schedule.alpha_bars[t - 1]
-    return (np.asarray(x_t) - np.sqrt(1.0 - abar) * np.asarray(noise)) / np.sqrt(abar)
-
-
 def step_beta(t: int, t_prev: int, schedule: NoiseSchedule) -> float:
     """Variance of the jump t -> t_prev: 1 - abar_t / abar_prev (abar_0 = 1).
 

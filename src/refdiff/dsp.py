@@ -153,10 +153,12 @@ def load_wav(path) -> AudioBuffer:
 
     Multichannel files keep only the first channel.  PCM16 samples are
     scaled by 1/32768; float samples are clipped to [-1, 1].  A file
-    that ends before the length its header gives is unreadable.
+    that ends before the length its header or its data chunk gives is
+    unreadable.
     """
     try:
         with open(path, "rb") as fh, warnings.catch_warnings():
+            _check_data_chunks(fh)
             # scipy only warns when the file ends before the size its header
             # gives, and returns the shortened audio; other warnings pass
             warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
@@ -168,6 +170,7 @@ def load_wav(path) -> AudioBuffer:
         # struct.error or EOFError when it ends inside a chunk field,
         # ZeroDivisionError for zero channels, UnboundLocalError when the
         # RIFF size ends before the data chunk; the EOF warning raised above
+        # and the ValueError of a short data chunk
         raise UnreadableWavError(f"not a readable WAV file: {path} ({exc})") from None
     if data.ndim > 1:
         data = data[:, 0]
@@ -182,6 +185,29 @@ def load_wav(path) -> AudioBuffer:
             f"unsupported WAV encoding {data.dtype}; expected PCM16 or float32"
         )
     return AudioBuffer(samples=samples, sample_rate=int(sample_rate))
+
+
+def _check_data_chunks(fh) -> None:
+    """Raise ValueError if a data chunk declares more bytes than follow it.
+
+    scipy stops at the RIFF size, which a cut file may have had rewritten
+    to match.  This walks the chunk headers (a 4-byte id, a u32 size, a
+    pad byte after an odd-sized chunk) to the end of the file; a file
+    that is not RIFF/WAVE is left to scipy.
+    """
+    head = fh.read(12)
+    if head[:4] == b"RIFF" and head[8:] == b"WAVE":
+        file_size = os.fstat(fh.fileno()).st_size
+        pos = 12
+        while pos + 8 <= file_size:
+            chunk = fh.read(8)
+            (size,) = struct.unpack("<I", chunk[4:])
+            pos += 8
+            if chunk[:4] == b"data" and size > file_size - pos:
+                raise ValueError(f"data chunk declares {size} bytes, {file_size - pos} follow")
+            pos += size + (size & 1)
+            fh.seek(pos)
+    fh.seek(0)
 
 
 def save_wav(path, audio: AudioBuffer, encoding: str = "pcm16") -> None:
@@ -261,15 +287,11 @@ def stft_magnitude(
     return np.abs(np.fft.rfft(frames, axis=1)).T
 
 
-def _make_window(window, frame: int) -> np.ndarray:
-    if isinstance(window, np.ndarray):
-        if window.size != frame:
-            raise ValueError("window length must equal frame size")
-        return window.astype(np.float64)
+def _make_window(window: str, frame: int) -> np.ndarray:
     if window == "hann":
         # periodic Hann, the standard analysis taper
         return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
-    if window in ("rect", "rectangular", "boxcar"):
+    if window == "rect":
         return np.ones(frame)
     raise ValueError(f"unknown window: {window}")
 

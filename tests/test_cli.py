@@ -131,6 +131,17 @@ class TestAnalyze:
         wav.write_bytes(blob[: len(blob) // 2])
         assert_one_line_input_error(*run_cli(capsys, "analyze", str(wav)))
 
+    def test_short_data_chunk_riff_size_patched_exit2(self, tmp_path, capsys):
+        # cut inside the data chunk with the RIFF size rewritten to match:
+        # only the data chunk's own size shows that samples are missing
+        wav = tmp_path / "patched.wav"
+        dsp.save_wav(wav, dsp.AudioBuffer(samples=np.full(8000, 0.25), sample_rate=8000))
+        blob = wav.read_bytes()[: (44 + 16000) // 2]
+        wav.write_bytes(blob[:4] + struct.pack("<I", len(blob) - 8) + blob[8:])
+        code, out, err = run_cli(capsys, "analyze", str(wav))
+        assert_one_line_input_error(code, out, err)
+        assert "data chunk declares 16000 bytes" in err
+
     def test_unknown_chunk_still_loads(self, tmp_path, capsys):
         wav = tmp_path / "extra.wav"
         write_silence_wav(wav)
@@ -142,6 +153,25 @@ class TestAnalyze:
             code, out, _ = run_cli(capsys, "analyze", str(wav), "--json")
         assert code == 0
         assert json.loads(out)["regions"] == []
+
+
+class TestShortSpectrogram:
+    """Detection needs T >= max(2, (k+1)//2) frames; a shorter input exits 2."""
+
+    @pytest.mark.parametrize("command", ["analyze", "blur"])
+    @pytest.mark.parametrize("T, k", [(1, 9), (4, 9), (1, 1), (5, 9), (2, 1)])
+    def test_exit_code(self, tmp_path, capsys, command, T, k):
+        mels = tmp_path / "short.mels"
+        data = np.random.default_rng(T).uniform(0.5, 1.0, (6, T))
+        dsp.write_mels(mels, dsp.MelSpectrogram(data=data, n_mels=6, hop=128))
+        outputs = [str(tmp_path / "out.mels")] if command == "blur" else []
+        code, out, err = run_cli(capsys, command, str(mels), *outputs, "--k", str(k))
+        need = max(2, (k + 1) // 2)
+        if T < need:
+            assert_one_line_input_error(code, out, err)
+            assert f"T={T} " in err and f"at least {need}" in err
+        else:
+            assert code == 0
 
 
 class TestBlur:
