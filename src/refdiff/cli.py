@@ -11,7 +11,9 @@ the default output directory; everything else is explicit flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -82,6 +84,11 @@ def _emit(doc: dict, as_json: bool, summary: str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    # both values are echoed into the report, whose schema bounds them
+    if not 1.0 <= args.region_weight < math.inf:
+        raise ParamError(f"--region-weight must be finite and >= 1, got {args.region_weight}")
+    if not 0.0 < args.eps < math.inf:
+        raise ParamError(f"--eps must be finite and > 0, got {args.eps}")
     mel = _load_spectrogram(args.input)
     cfg = _detector_config(mel, args, eps=args.eps)
     series, regions = transition.analyze(mel, cfg)
@@ -274,7 +281,10 @@ def _load_ckpt(path) -> trainer.Checkpoint:
         raise InputError(f"cannot load checkpoint {path}: {exc}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; ``parse_args`` keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="refdiff",
         description="Reference-conditioned mel diffusion with transition-aware training",
@@ -348,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

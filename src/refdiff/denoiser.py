@@ -562,7 +562,7 @@ def save_checkpoint(path, params: DenoiserParams, header: dict) -> None:
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
         for _, arr in params.named_arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
 
@@ -282,8 +283,7 @@ def stft_magnitude(
     idx = reflect_indices(n, max(left, right))
     pad_total = max(left, right)
     padded = x[idx][pad_total - left : pad_total + n + right]
-    offsets = hop * np.arange(n_frames)[:, None] + np.arange(frame)[None, :]
-    frames = padded[offsets] * win[None, :]
+    frames = sliding_window_view(padded, frame)[::hop][:n_frames] * win[None, :]
     return np.abs(np.fft.rfft(frames, axis=1)).T
 
 
@@ -337,14 +337,13 @@ def mel_filterbank(
     bin_hz = (sample_rate / 2.0) / (n_fft_bins - 1)
     edges_bin = edges_hz / bin_hz
     bins = np.arange(n_fft_bins, dtype=np.float64)
-    weights = np.zeros((n_mels, n_fft_bins))
-    for m in range(n_mels):
-        lo, center, hi = edges_bin[m], edges_bin[m + 1], edges_bin[m + 2]
-        lo = min(lo, center - 1.0)
-        hi = max(hi, center + 1.0)
-        rising = (bins - lo) / (center - lo)
-        falling = (hi - bins) / (hi - center)
-        weights[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    # one row per filter, one column per FFT bin
+    center = edges_bin[1:-1, None]
+    lo = np.minimum(edges_bin[:-2, None], center - 1.0)
+    hi = np.maximum(edges_bin[2:, None], center + 1.0)
+    rising = (bins - lo) / (center - lo)
+    falling = (hi - bins) / (hi - center)
+    weights = np.clip(np.minimum(rising, falling), 0.0, None)
     return MelFilterbank(weights=weights, center_freqs=edges_hz[1:-1])
 
 
@@ -379,8 +378,8 @@ def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> GaussianKernel:
     """Normalized Gaussian taps: taps[i] proportional to exp(-(i-c)^2 / 2 sigma^2)."""
     if size < 1 or size % 2 == 0:
         raise ValueError("size must be a positive odd integer")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not math.isfinite(sigma) or sigma <= 0.0:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     center = (size - 1) / 2.0
     offsets = np.arange(size) - center
     taps = np.exp(-(offsets**2) / (2.0 * sigma**2))

@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -153,6 +156,91 @@ class TestAnalyze:
             code, out, _ = run_cli(capsys, "analyze", str(wav), "--json")
         assert code == 0
         assert json.loads(out)["regions"] == []
+
+
+class TestAnalyzeEchoedValues:
+    """``--region-weight`` and ``--eps`` are echoed into the report, so a
+    value the schema rejects exits 3 with one line naming the flag."""
+
+    @pytest.mark.parametrize("flag", ["--region-weight", "--eps"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_out_of_range_exit3(self, tmp_path, capsys, flag, value):
+        mels = tmp_path / "two.mels"
+        write_two_note_mels(mels)
+        code, out, err = run_cli(capsys, "analyze", str(mels), f"{flag}={value}", "--json")
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and flag in err
+
+    def test_region_weight_half_exit3(self, tmp_path, capsys):
+        mels = tmp_path / "two.mels"
+        write_two_note_mels(mels)
+        code, _, err = run_cli(capsys, "analyze", str(mels), "--region-weight", "0.5")
+        assert code == 3 and "--region-weight" in err
+
+    def test_region_weight_one_matches_schema(self, tmp_path, capsys):
+        mels = tmp_path / "two.mels"
+        write_two_note_mels(mels)
+        code, out, _ = run_cli(capsys, "analyze", str(mels), "--region-weight", "1.0", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["params"]["lambda"] == 1.0
+        jsonschema.validate(doc, load_schema("region_report.schema.json"))
+
+
+class TestBlurSigma:
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+    def test_bad_sigma_exit3(self, tmp_path, capsys, sigma):
+        mels = tmp_path / "two.mels"
+        write_two_note_mels(mels)
+        code, out, err = run_cli(capsys, "blur", str(mels), str(tmp_path / "o.mels"), f"--sigma={sigma}")
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "sigma" in err
+
+    def test_unit_sigma_ok(self, tmp_path, capsys):
+        mels = tmp_path / "two.mels"
+        write_two_note_mels(mels)
+        code, _, _ = run_cli(capsys, "blur", str(mels), str(tmp_path / "o.mels"), "--sigma", "1.0")
+        assert code == 0
+
+
+class TestSharedParser:
+    """``main`` reuses one parser per process; no call may leave state in it."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        mels = tmp_path / "two.mels"
+        write_two_note_mels(mels)
+        calls = [
+            ["analyze", str(mels), "--k", "5", "--w", "4", "--json"],
+            ["analyze", str(mels), "--k", "five"],
+            ["analyze", str(mels), "--json"],
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert [c for c, _, _ in in_process] == [0, 2, 0]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, got in zip(calls, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "refdiff.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_ablate_default_steps_unchanged(self, dataset_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"total_steps": 2, "batch_size": 1, "hidden": 6, "depth": 1,
+                                        "step_dim": 4, "seed": 0}))
+        argv = ["ablate", str(cfg_path), str(dataset_dir / "manifest.jsonl"), "--json"]
+        assert cli.build_parser().parse_args(argv).steps == [24, 54, 100]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert sorted(map(int, json.loads(out)["steps"])) == [24, 54, 100]
+        assert cli.build_parser().parse_args(argv).steps == [24, 54, 100]
 
 
 class TestShortSpectrogram:

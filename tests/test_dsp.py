@@ -114,7 +114,53 @@ class TestLoadWav:
             dsp.load_wav(path)
 
 
+def index_matrix_stft(samples, frame, hop, win):
+    """The framing ``stft_magnitude`` used before it took strided windows:
+    a (T, frame) index matrix gathered from the padded signal."""
+    n = samples.size
+    n_frames = 1 + math.ceil(n / hop)
+    left = frame // 2
+    right = max(0, (n_frames - 1) * hop + frame - left - n)
+    pad = max(left, right)
+    padded = samples[dsp.reflect_indices(n, pad)][pad - left : pad + n + right]
+    offsets = hop * np.arange(n_frames)[:, None] + np.arange(frame)[None, :]
+    return np.abs(np.fft.rfft(padded[offsets] * win[None, :], axis=1)).T
+
+
+def per_filter_mel_weights(sample_rate, n_fft_bins, n_mels, fmin=0.0, fmax=None):
+    """The per-filter loop ``mel_filterbank`` used before it broadcast
+    all triangles at once."""
+    if fmax is None:
+        fmax = sample_rate / 2.0
+    edges_hz = dsp.mel_to_hz(np.linspace(dsp.hz_to_mel(fmin), dsp.hz_to_mel(fmax), n_mels + 2))
+    edges_bin = edges_hz / ((sample_rate / 2.0) / (n_fft_bins - 1))
+    bins = np.arange(n_fft_bins, dtype=np.float64)
+    weights = np.zeros((n_mels, n_fft_bins))
+    for m in range(n_mels):
+        lo, center, hi = edges_bin[m], edges_bin[m + 1], edges_bin[m + 2]
+        lo = min(lo, center - 1.0)
+        hi = max(hi, center + 1.0)
+        rising = (bins - lo) / (center - lo)
+        falling = (hi - bins) / (hi - center)
+        weights[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    return weights
+
+
 class TestStft:
+    @pytest.mark.parametrize(
+        "n, frame, hop",
+        [(2048, 512, 128), (1000, 256, 100), (37, 4, 2), (300, 64, 16), (300, 64, 64),
+         (10, 512, 128), (1, 8, 3), (44100, 512, 128)],
+    )
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    def test_bytes_match_index_matrix_framing(self, n, frame, hop, window):
+        samples = np.random.default_rng(n).uniform(-1, 1, n)
+        buf = dsp.AudioBuffer(samples=samples, sample_rate=16000)
+        win = dsp._make_window(window, frame)
+        got = dsp.stft_magnitude(buf, frame=frame, hop=hop, window=window)
+        want = index_matrix_stft(samples, frame, hop, win)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_zero_signal_zero_magnitudes(self):
         buf = dsp.AudioBuffer(samples=np.zeros(2048), sample_rate=16000)
         mags = dsp.stft_magnitude(buf, frame=512, hop=128)
@@ -177,6 +223,17 @@ class TestStft:
 
 
 class TestMelFilterbank:
+    @pytest.mark.parametrize(
+        "sample_rate, n_fft_bins, n_mels, fmin, fmax",
+        [(16000, 257, 2, 0.0, 8000.0), (44100, 257, 80, 0.0, None), (16000, 257, 40, 0.0, 8000.0),
+         (44100, 257, 80, 30.0, 12000.0), (22050, 513, 80, 0.0, None), (16000, 33, 40, 0.0, None),
+         (8000, 33, 12, 100.0, 3000.0)],
+    )
+    def test_bytes_match_per_filter_loop(self, sample_rate, n_fft_bins, n_mels, fmin, fmax):
+        fb = dsp.mel_filterbank(sample_rate, n_fft_bins, n_mels=n_mels, fmin=fmin, fmax=fmax)
+        want = per_filter_mel_weights(sample_rate, n_fft_bins, n_mels, fmin, fmax)
+        assert fb.weights.shape == want.shape and fb.weights.tobytes() == want.tobytes()
+
     def test_two_band_shape(self):
         fb = dsp.mel_filterbank(16000, 257, n_mels=2, fmin=0.0, fmax=8000.0)
         assert fb.weights.shape == (2, 257)
@@ -302,6 +359,11 @@ class TestGaussianKernel:
             dsp.gaussian_kernel(size=-3)
         with pytest.raises(ValueError):
             dsp.gaussian_kernel(size=5, sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be"):
+            dsp.gaussian_kernel(size=5, sigma=sigma)
 
 
 def brute_blur_2d(data: np.ndarray, taps: np.ndarray) -> np.ndarray:
