@@ -115,7 +115,7 @@ def cmd_blur(args) -> int:
                 window=int(report["params"]["w"]),
                 total_frames=mel.n_frames,
             )
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except _MALFORMED as exc:
             raise InputError(f"bad region report {args.regions}: {exc}") from None
     else:
         _, regions = transition.analyze(mel, _detector_config(mel, args))
@@ -263,8 +263,9 @@ def cmd_ablate(args) -> int:
 
 
 # What a reader raises on a file of the wrong shape: a missing key, a
-# value of the wrong JSON type, or JSON nested past the recursion limit.
-_MALFORMED = (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError)
+# value of the wrong JSON type, an integer field holding 1e999 (read as
+# inf), or JSON nested past the recursion limit.
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
 
 
 def _load_manifest(path) -> synthgen.SynthDataset:

@@ -11,6 +11,7 @@ Every generator is a deterministic function of its seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -52,12 +53,7 @@ class ScoreSpec:
 
     def boundaries(self) -> list[int]:
         """Interior note-boundary frames (excludes 0 and total_frames)."""
-        acc = 0
-        out = []
-        for _, dur in self.notes[:-1]:
-            acc += dur
-            out.append(acc)
-        return out
+        return list(itertools.accumulate(d for _, d in self.notes[:-1]))
 
     def to_json(self) -> dict:
         return {
@@ -151,38 +147,11 @@ class SynthDataset:
 SPREAD = np.array([0.2, 0.6, 1.0, 0.6, 0.2])  # cross-bin leakage per harmonic
 
 
-def harmonic_profile(pitch: float, score: ScoreSpec) -> np.ndarray:
-    """Mel-bin energy template for one note.
-
-    Each of the first 5 harmonics deposits 1/h energy at its nearest mel
-    bin, with a short leakage skirt into neighboring bins like a real
-    window/filterbank chain would produce (the peak stays at the nearest
-    bin).
-    """
-    centers = mel_center_frequencies(score.n_mels, 0.0, score.sample_rate / 2.0)
-    profile = np.zeros(score.n_mels)
-    radius = (SPREAD.size - 1) // 2
-    for h in range(1, HARMONICS + 1):
-        freq = pitch * h
-        if freq > score.sample_rate / 2.0:
-            break
-        center = int(np.argmin(np.abs(centers - freq)))
-        for off, w in enumerate(SPREAD):
-            b = center + off - radius
-            if 0 <= b < score.n_mels:
-                profile[b] += w / h
-    return profile
-
-
 def _note_weights(score: ScoreSpec) -> np.ndarray:
     """(n_notes, T) mixing weights with 3-frame linear cross-fades."""
-    T = score.total_frames
-    n = len(score.notes)
-    weights = np.zeros((n, T))
-    start = 0
-    for j, (_, dur) in enumerate(score.notes):
-        weights[j, start : start + dur] = 1.0
-        start += dur
+    edges = np.cumsum([0] + [d for _, d in score.notes])
+    t = np.arange(score.total_frames)
+    weights = ((edges[:-1, None] <= t) & (t < edges[1:, None])).astype(np.float64)
     ramp = np.array([0.25, 0.5, 0.75])
     for j, b in enumerate(score.boundaries()):
         weights[j, b - 1 : b + 2] = 1.0 - ramp
@@ -191,9 +160,25 @@ def _note_weights(score: ScoreSpec) -> np.ndarray:
 
 
 def render_mel(score: ScoreSpec, seed) -> MelSpectrogram:
-    """Linear-domain harmonic spectrogram with seeded per-frame jitter."""
+    """Linear-domain harmonic spectrogram with seeded per-frame jitter.
+
+    Each note's first 5 harmonics deposit 1/h energy at their nearest mel
+    bin, with a short leakage skirt into neighboring bins like a real
+    window/filterbank chain would produce (the peak stays at the nearest
+    bin).  Harmonics above Nyquist are dropped.
+    """
     rng = np.random.default_rng(seed)
-    profiles = np.stack([harmonic_profile(p, score) for p, _ in score.notes])
+    centers = mel_center_frequencies(score.n_mels, 0.0, score.sample_rate / 2.0)
+    pitches = np.array([p for p, _ in score.notes])
+    h = np.arange(1, HARMONICS + 1)
+    freqs = pitches[:, None] * h  # (notes, harmonics); rises with h
+    nearest = np.abs(centers - freqs[..., None]).argmin(axis=-1)
+    radius = (SPREAD.size - 1) // 2
+    bins = nearest[..., None] + np.arange(-radius, radius + 1)  # (notes, harmonics, offsets)
+    keep = (freqs <= score.sample_rate / 2.0)[..., None] & (bins >= 0) & (bins < score.n_mels)
+    note, k, off = np.nonzero(keep)  # C order: the per-note loop's (h, offset) order
+    profiles = np.zeros((len(pitches), score.n_mels))
+    np.add.at(profiles, (note, bins[keep]), SPREAD[off] / h[k])
     data = profiles.T @ _note_weights(score)
     jitter = np.clip(1.0 + 0.05 * rng.standard_normal(score.total_frames), 0.5, None)
     data = data * jitter[None, :]
@@ -212,6 +197,12 @@ def degrade_reference(
     separates the reference from the ground truth.  The boundary noise
     is the part a local blur can average away, which is what makes the
     raw reference misleading there.
+
+    Draw order, part of the seeded contract: for each boundary in score
+    order, one (columns x F) standard-normal block for its columns
+    lo..hi-1, then the F x T noise floor.  Boundaries run in order
+    because the windows of notes shorter than 9 frames overlap and a
+    later boundary reads the columns an earlier one wrote.
     """
     if not (0.0 <= strength <= 1.0):
         raise ValueError("strength must lie in [0, 1]")
@@ -224,16 +215,18 @@ def degrade_reference(
         lo = max(0, b - SMEAR_REACH)
         hi = min(T, b + SMEAR_REACH + 1)
         local_avg = gt_mel.data[:, lo:hi].mean(axis=1)
-        for t in range(lo, hi):
-            tri = 1.0 - abs(t - b) / (SMEAR_REACH + 1.0)
-            smear = strength * 0.7 * tri
-            col = (1.0 - smear) * data[:, t] + smear * local_avg
-            flatten = strength * 0.45 * tri
-            col = (1.0 - flatten) * col + flatten * col.mean()
-            # mean-preserving log-normal: a local average recovers the
-            # clean value, so blurring genuinely de-noises these columns
-            sigma = strength * 1.2 * tri
-            data[:, t] = col * np.exp(sigma * rng.standard_normal(F) - 0.5 * sigma**2)
+        tri = (1.0 - np.abs(np.arange(lo, hi) - b) / (SMEAR_REACH + 1.0))[:, None]
+        smear = strength * 0.7 * tri
+        cols = (1.0 - smear) * data[:, lo:hi].T + smear * local_avg  # (columns, F)
+        flatten = strength * 0.45 * tri
+        cols = (1.0 - flatten) * cols + flatten * cols.mean(axis=1, keepdims=True)
+        # mean-preserving log-normal: a local average recovers the
+        # clean value, so blurring genuinely de-noises these columns
+        sigma = strength * 1.2 * tri
+        # float_power calls pow() like a float's ** 2; an array's ** 2 is
+        # one multiply, which rounds differently for some strengths
+        spread = np.exp(sigma * rng.standard_normal((hi - lo, F)) - 0.5 * np.float_power(sigma, 2))
+        data[:, lo:hi] = (cols * spread).T
     noise = np.clip(1.0 + 0.01 * rng.standard_normal(data.shape), 0.0, None)
     return MelSpectrogram(data=data * noise, n_mels=gt_mel.n_mels, hop=gt_mel.hop, is_log=False)
 
@@ -310,6 +303,12 @@ def make_dataset(n: int, seed: int, cfg: DatasetConfig = DatasetConfig()) -> Syn
 
     Normalization stats are the min/max of the log-compressed ground
     truths over the whole dataset.
+
+    Draw order, part of the seeded contract: item i spawns three
+    streams from ``SeedSequence([seed, i])``, in order the score stream
+    (random_score), the render stream (render_mel's per-frame jitter)
+    and the degrade stream (degrade_reference: one (columns x F) normal
+    block per boundary in order, then the F x T noise floor).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

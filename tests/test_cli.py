@@ -340,6 +340,47 @@ class TestBlur:
         assert code == 2
 
 
+class TestBlurRegionReportShape:
+    """A region report that is JSON of the wrong shape is an input error."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"regions": [], "params": null}',
+            '{"regions": [], "params": {"w": null}}',
+            '{"regions": null, "params": {"w": 8}}',
+            "[" * 100_000,
+            '{"regions": [], "params": {"w": 1e999}}',
+        ],
+        ids=["top_level_list", "params_null", "w_null", "regions_null", "deep_nesting", "w_inf"],
+    )
+    def test_exit2(self, tmp_path, capsys, text):
+        mels = tmp_path / "in.mels"
+        write_two_note_mels(mels)
+        report = tmp_path / "regions.json"
+        report.write_text(text)
+        code, out, err = run_cli(
+            capsys, "blur", str(mels), str(tmp_path / "out.mels"), "--regions", str(report)
+        )
+        assert_one_line_input_error(code, out, err)
+        assert "bad region report" in err
+        assert not (tmp_path / "out.mels").exists()
+
+
+class TestManifestIntegerOverflow:
+    def test_region_window_1e999_exit2(self, dataset_dir, tmp_path, capsys):
+        record = json.loads((dataset_dir / "manifest.jsonl").read_text().splitlines()[0])
+        record["region_window"] = float("inf")  # json.dumps writes Infinity
+        bad = dataset_dir / "overflow.jsonl"  # beside the MELS files it names
+        bad.write_text(json.dumps(record).replace("Infinity", "1e999") + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
+        code, out, err = run_cli(capsys, "train", str(cfg), str(bad))
+        assert_one_line_input_error(code, out, err)
+        assert "infinity" in err
+
+
 class TestGendata:
     def test_deterministic_hashes(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"

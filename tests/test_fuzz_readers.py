@@ -3,6 +3,7 @@ in a documented exit code (0, 2 input, 3 parameter), never a traceback."""
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -116,3 +117,21 @@ def test_wav(files, data):
 def test_manifest(files, data):
     blob = data.draw(damaged(read(files["manifest"])))
     run_on(files, ".jsonl", blob, lambda p: ["eval", files["ckpt"], p, "--steps", "2"])
+
+
+@pytest.fixture(scope="module")
+def region_report(files):
+    """``analyze --json``'s report on the valid MELS file, as ``blur --regions`` reads it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", files["mels"], "--json"]) == 0
+    assert json.loads(out.getvalue())["regions"]
+    return out.getvalue().encode()
+
+
+@FUZZ
+@given(data=st.data())
+def test_region_report(files, region_report, data):
+    blob = data.draw(damaged(region_report))
+    blurred = os.path.join(files["root"], "blurred.mels")
+    run_on(files, ".json", blob, lambda p: ["blur", files["mels"], blurred, "--regions", p])

@@ -274,3 +274,134 @@ class TestManifest:
         with open(manifest) as fh:
             for line in fh:
                 jsonschema.validate(json.loads(line), schema)
+
+
+# --- the generator's bytes ----------------------------------------------
+# Copies of the per-note and per-column loops that render_mel,
+# _note_weights and degrade_reference replaced; the array passes must
+# reproduce them bit for bit.
+
+
+def loop_harmonic_profile(pitch, score):
+    centers = mel_center_frequencies(score.n_mels, 0.0, score.sample_rate / 2.0)
+    profile = np.zeros(score.n_mels)
+    radius = (synthgen.SPREAD.size - 1) // 2
+    for h in range(1, synthgen.HARMONICS + 1):
+        freq = pitch * h
+        if freq > score.sample_rate / 2.0:
+            break
+        center = int(np.argmin(np.abs(centers - freq)))
+        for off, w in enumerate(synthgen.SPREAD):
+            b = center + off - radius
+            if 0 <= b < score.n_mels:
+                profile[b] += w / h
+    return profile
+
+
+def loop_note_weights(score):
+    weights = np.zeros((len(score.notes), score.total_frames))
+    start = 0
+    for j, (_, dur) in enumerate(score.notes):
+        weights[j, start : start + dur] = 1.0
+        start += dur
+    ramp = np.array([0.25, 0.5, 0.75])
+    for j, b in enumerate(score.boundaries()):
+        weights[j, b - 1 : b + 2] = 1.0 - ramp
+        weights[j + 1, b - 1 : b + 2] = ramp
+    return weights
+
+
+def loop_render_mel(score, seed):
+    rng = np.random.default_rng(seed)
+    profiles = np.stack([loop_harmonic_profile(p, score) for p, _ in score.notes])
+    data = profiles.T @ loop_note_weights(score)
+    jitter = np.clip(1.0 + 0.05 * rng.standard_normal(score.total_frames), 0.5, None)
+    return data * jitter[None, :]
+
+
+def loop_degrade_reference(gt_data, score, strength, seed):
+    rng = np.random.default_rng(seed)
+    data = gt_data.copy()
+    F, T = data.shape
+    reach = synthgen.SMEAR_REACH
+    for b in score.boundaries():
+        lo = max(0, b - reach)
+        hi = min(T, b + reach + 1)
+        local_avg = gt_data[:, lo:hi].mean(axis=1)
+        for t in range(lo, hi):
+            tri = 1.0 - abs(t - b) / (reach + 1.0)
+            smear = strength * 0.7 * tri
+            col = (1.0 - smear) * data[:, t] + smear * local_avg
+            flatten = strength * 0.45 * tri
+            col = (1.0 - flatten) * col + flatten * col.mean()
+            sigma = strength * 1.2 * tri
+            data[:, t] = col * np.exp(sigma * rng.standard_normal(F) - 0.5 * sigma**2)
+    noise = np.clip(1.0 + 0.01 * rng.standard_normal(data.shape), 0.0, None)
+    return data * noise
+
+
+EDGE_SCORES = {
+    # every note 4 frames: the +-4-frame windows of neighbouring
+    # boundaries overlap, so a later boundary reads columns an earlier one wrote
+    "four_frame_notes": synthgen.ScoreSpec(notes=((200.0, 4), (310.0, 4), (150.0, 4), (620.0, 4))),
+    # the first window starts at frame 0, the last is clamped at T
+    "clamped_windows": synthgen.ScoreSpec(notes=((440.0, 4), (300.0, 17), (880.0, 4))),
+    # at 8 kHz the upper harmonics of these pitches cross Nyquist
+    "nyquist_8k": synthgen.ScoreSpec(
+        notes=((1000.0, 9), (700.0, 5), (950.0, 12), (81.0, 6)), sample_rate=8000, n_mels=40
+    ),
+    "one_note": synthgen.ScoreSpec(notes=((330.0, 11),)),
+}
+
+
+class TestBytesMatchLoops:
+    @pytest.mark.parametrize("name", sorted(EDGE_SCORES))
+    # at 0.245, sigma * sigma and sigma**2 (pow) differ in the last bit
+    @pytest.mark.parametrize("strength", [0.0, 0.5, 1.0, 0.9, 0.245])
+    def test_edge_scores(self, name, strength):
+        score = EDGE_SCORES[name]
+        gt = synthgen.render_mel(score, seed=4)
+        assert gt.data.tobytes() == loop_render_mel(score, 4).tobytes()
+        ref = synthgen.degrade_reference(gt, score, strength, seed=5)
+        assert ref.data.tobytes() == loop_degrade_reference(gt.data, score, strength, 5).tobytes()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dataset_streams(self, seed):
+        """The scores and streams of make_dataset(64, seed), item by item."""
+        cfg = synthgen.DatasetConfig()
+        for i in range(64):
+            ss = np.random.SeedSequence([seed, i])
+            score_rng, render_rng, degrade_rng = (np.random.default_rng(c) for c in ss.spawn(3))
+            score = synthgen.random_score(score_rng, cfg)
+            render_state = render_rng.bit_generator.state
+            degrade_state = degrade_rng.bit_generator.state
+            gt = synthgen.render_mel(score, render_rng)
+            ref = synthgen.degrade_reference(gt, score, cfg.degrade_strength, degrade_rng)
+            render_rng.bit_generator.state = render_state
+            degrade_rng.bit_generator.state = degrade_state
+            want_gt = loop_render_mel(score, render_rng)
+            assert gt.data.tobytes() == want_gt.tobytes()
+            want_ref = loop_degrade_reference(want_gt, score, cfg.degrade_strength, degrade_rng)
+            assert ref.data.tobytes() == want_ref.tobytes()
+
+
+# SHA-256 over every item's gt, ref and cond bytes, then (norm_lo, norm_hi),
+# of make_dataset(16, seed).  Any change to the data stream moves these.
+DATASET_DIGESTS = {
+    0: "3c30c0545fc70f9dc25d4cff84f90aeaf568b58afce72c7464351a342500b230",
+    1: "846d081b5214b39063306d681082fe36638f7fea80035f041315551124022bbf",
+    2: "24fb91be98f6991e19091ed0fd1b1126308169444966267c625048d8b9a4331c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DATASET_DIGESTS))
+def test_dataset_digest_pinned(seed):
+    import hashlib
+
+    ds = synthgen.make_dataset(16, seed)
+    digest = hashlib.sha256()
+    for s in ds:
+        for arr in (s.gt_mel.data, s.ref_mel.data, s.cond):
+            digest.update(arr.tobytes())
+    digest.update(np.array([ds.norm_lo, ds.norm_hi]).tobytes())
+    assert digest.hexdigest() == DATASET_DIGESTS[seed]
