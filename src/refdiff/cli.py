@@ -183,7 +183,6 @@ def cmd_train(args) -> int:
         json.dump(
             {
                 "loss_curve": history.loss_curve,
-                "evals": history.evals,
                 "config": config.to_json(),
             },
             fh,
@@ -242,6 +241,8 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args.config)
+    if not all(1 <= steps <= config.schedule_T for steps in args.steps):
+        raise ParamError(f"steps must lie in 1..{config.schedule_T}")
     dataset = _load_manifest(args.manifest)
     eval_dataset = _load_manifest(args.eval_manifest) if args.eval_manifest else None
     table = trainer.ablation_suite(
@@ -264,8 +265,11 @@ def cmd_ablate(args) -> int:
 
 # What a reader raises on a file of the wrong shape: a missing key, a
 # value of the wrong JSON type, an integer field holding 1e999 (read as
-# inf), or JSON nested past the recursion limit.
-_MALFORMED = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
+# inf), JSON nested past the recursion limit, or a size field too large
+# to allocate (a checkpoint's schedule length).
+_MALFORMED = (
+    OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError, MemoryError
+)
 
 
 def _load_manifest(path) -> synthgen.SynthDataset:
@@ -371,7 +375,9 @@ def main(argv=None) -> int:
     except trainer.TrainingDivergedError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # MemoryError: a config whose sizes cannot be allocated, such as
+        # a schedule length of 1e11
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
 

@@ -25,6 +25,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .dsp import MelSpectrogram
 
@@ -203,7 +204,6 @@ class ForwardTrace:
     ref: _BranchTrace | None = None
     den: _BranchTrace | None = None
     ref_hidden: list[np.ndarray] | None = None
-    t: int | None = None
     emb: np.ndarray | None = None
     eps_shape: tuple[int, int] | None = None
 
@@ -268,12 +268,6 @@ def _conv_time_backward(
     return d_h
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    from scipy.special import expit
-
-    return expit(x)
-
-
 def _run_branch(
     branch: BranchParams,
     x: np.ndarray,
@@ -298,7 +292,7 @@ def _run_branch(
         halves = pre.reshape(2, hidden, -1)
         halves += bias
         ta = np.tanh(pre[:hidden])
-        sb = _sigmoid(pre[hidden:])
+        sb = expit(pre[hidden:])
         g = ta * sb
         trace.windows.append(windows)
         trace.flat_w.append(flat_w)
@@ -393,7 +387,6 @@ def denoiser_forward(
     trace.cond = cond
     trace.den = branch_trace
     trace.ref_hidden = ref_hidden
-    trace.t = t
     trace.emb = emb
     trace.eps_shape = (F, T)
     return eps_hat, trace

@@ -94,8 +94,8 @@ class SynthSample:
         T = self.score.total_frames
         if self.gt_mel.n_frames != T or self.ref_mel.n_frames != T:
             raise ValueError("spectrogram frame counts must match the score")
-        if self.cond.shape[1] != T:
-            raise ValueError("cond frame count must match the score")
+        if self.cond.ndim != 2 or self.cond.shape[1] != T:
+            raise ValueError("cond must be a matrix whose frame count matches the score")
         if self.true_regions.total_frames != T:
             raise ValueError("region frame count must match the score")
 
@@ -404,10 +404,13 @@ def load_dataset(manifest_path) -> SynthDataset:
             )
     if not samples:
         raise ValueError(f"empty manifest: {manifest_path}")
+    norm_lo, norm_hi = float(norm["lo"]), float(norm["hi"])
+    if not -np.inf < norm_lo < norm_hi < np.inf:
+        raise ValueError(f"manifest norm must be finite with lo < hi, got {norm}")
     return SynthDataset(
         samples=samples,
-        norm_lo=float(norm["lo"]),
-        norm_hi=float(norm["hi"]),
+        norm_lo=norm_lo,
+        norm_hi=norm_hi,
         cfg=DatasetConfig.from_json(cfg) if cfg else DatasetConfig(),
         seed=seed,
     )

@@ -24,16 +24,9 @@ import numpy as np
 
 from . import denoiser as dn
 from .diffusion import NoiseSchedule, make_schedule, q_sample, sample, weighted_eps_loss
-from .dsp import MelSpectrogram, log_compress
+from .dsp import MelSpectrogram, gaussian_kernel, log_compress
 from .synthgen import SynthDataset, SynthSample, denormalize_log_mel, normalize_log_mel
-from .transition import (
-    TransitionRegionSet,
-    WeightMap,
-    analyze,
-    blur_kernel,
-    blur_regions,
-    weight_map,
-)
+from .transition import TransitionRegionSet, WeightMap, analyze, blur_regions, weight_map
 
 
 # normalize_log_mel maps the dataset's [lo, hi] onto exactly this range,
@@ -58,8 +51,6 @@ class TrainConfig:
     schedule_T: int = 100
     beta_min: float = 1e-4
     beta_max: float = 0.06
-    eval_every: int = 0  # 0 disables mid-training evaluation
-    eval_steps: int = 100
     hidden: int = 64
     depth: int = 4
     step_dim: int = 32
@@ -111,11 +102,14 @@ class Checkpoint:
     @staticmethod
     def load(path) -> "Checkpoint":
         params, header = dn.load_checkpoint(path)
+        lo, hi = float(header["norm"]["lo"]), float(header["norm"]["hi"])
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"checkpoint norm must be finite with lo < hi, got {header['norm']}")
         return Checkpoint(
             params=params,
             schedule=NoiseSchedule.from_json(header["schedule"]),
-            norm_lo=float(header["norm"]["lo"]),
-            norm_hi=float(header["norm"]["hi"]),
+            norm_lo=lo,
+            norm_hi=hi,
             config=TrainConfig.from_json(header["config"]),
         )
 
@@ -136,10 +130,9 @@ class Metrics:
 
 @dataclass
 class TrainHistory:
-    """Loss curve plus any mid-training evaluations (eval_every > 0)."""
+    """Mean batch loss of every training step, in step order."""
 
     loss_curve: list[float]
-    evals: list[dict]
 
 
 @dataclass
@@ -160,7 +153,9 @@ def prepare_reference(
     log_floor: float = 1e-5,
 ) -> tuple[MelSpectrogram, TransitionRegionSet]:
     """Detect regions on the linear reference, log-compress it, optionally
-    blur the regions, then normalize into the domain the denoiser reads.
+    blur the regions with ``gaussian_kernel()`` (5 taps, sigma 1, as
+    ``refdiff blur`` by default), then normalize into the domain the
+    denoiser reads.
 
     The blur runs on log values: in the linear domain it would fill the
     harmonic valleys near the log floor, which the log map turns into
@@ -169,7 +164,7 @@ def prepare_reference(
     _, regions = analyze(ref_linear)
     ref_log = log_compress(ref_linear, log_floor)
     if blur:
-        ref_log = blur_regions(ref_log, regions, blur_kernel())
+        ref_log = blur_regions(ref_log, regions, gaussian_kernel())
     return normalize_log_mel(ref_log, norm_lo, norm_hi), regions
 
 
@@ -233,9 +228,7 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
 
     Per step the generator is consumed in a fixed order: batch indices,
     then per item one uniform step and one noise draw, so runs with the
-    same seed are bit-identical.  When ``eval_every`` is positive the
-    model is evaluated on the training set at that cadence (sampling at
-    ``eval_steps``); those metrics land in the returned history.
+    same seed are bit-identical.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -252,17 +245,9 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
         kernel=config.kernel,
         seed=config.seed,
     )
-    ckpt = Checkpoint(
-        params=params,
-        schedule=schedule,
-        norm_lo=dataset.norm_lo,
-        norm_hi=dataset.norm_hi,
-        config=config,
-    )
     state = adam_init(params)
     rng = np.random.default_rng(config.seed)
     loss_curve: list[float] = []
-    evals: list[dict] = []
     for _ in range(config.total_steps):
         idx = rng.integers(0, len(prepared), size=config.batch_size)
         batch_grads = dn.zero_grads(params)
@@ -290,12 +275,14 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
             raise TrainingDivergedError(f"non-finite loss at step {len(loss_curve)}")
         adam_step(params, batch_grads, state, config.learning_rate)
         loss_curve.append(batch_loss)
-        step_no = len(loss_curve)
-        if config.eval_every > 0 and step_no % config.eval_every == 0:
-            # ckpt shares params with the loop, so this evaluates the current weights
-            metrics = evaluate(ckpt, dataset, config.eval_steps, seed=config.seed)
-            evals.append({"step": step_no, "metrics": metrics.to_json()})
-    return ckpt, TrainHistory(loss_curve=loss_curve, evals=evals)
+    ckpt = Checkpoint(
+        params=params,
+        schedule=schedule,
+        norm_lo=dataset.norm_lo,
+        norm_hi=dataset.norm_hi,
+        config=config,
+    )
+    return ckpt, TrainHistory(loss_curve=loss_curve)
 
 
 def make_predictor(ckpt: Checkpoint, prepared: PreparedSample):
@@ -388,13 +375,15 @@ def ablation_suite(
     """Train the component ablation grid and sweep sampling steps.
 
     Every variant trains with the same seed so comparisons share their
-    random draws; the step sweep evaluates the full model's checkpoint.
+    random draws, and is evaluated at the full chain of
+    ``base_config.schedule_T`` steps; the step sweep evaluates the full
+    model's checkpoint.
     Pass ``eval_dataset`` to measure on held-out samples instead of the
     training set.
     """
     eval_ds = eval_dataset if eval_dataset is not None else dataset
     out = {
-        "eval": {"steps": base_config.eval_steps, "seed": eval_seed},
+        "eval": {"steps": base_config.schedule_T, "seed": eval_seed},
         "variants": {},
         "steps": {},
     }
@@ -402,7 +391,7 @@ def ablation_suite(
     for name, flags in ABLATION_VARIANTS.items():
         cfg = replace(base_config, **flags)
         ckpt, history = train(cfg, dataset)
-        metrics = evaluate(ckpt, eval_ds, base_config.eval_steps, seed=eval_seed)
+        metrics = evaluate(ckpt, eval_ds, base_config.schedule_T, seed=eval_seed)
         out["variants"][name] = {
             "flags": flags,
             "final_loss": history.loss_curve[-1],

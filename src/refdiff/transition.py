@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import GaussianKernel, MelSpectrogram, gaussian_blur_2d, gaussian_kernel, reflect_indices
+from .dsp import GaussianKernel, MelSpectrogram, gaussian_blur_2d, reflect_indices
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,6 @@ class TransitionConfig:
     smooth_k: int = 9
     window_w: int = 8
     eps: float = 1e-6
-    blur_size: int = 5
-    blur_sigma: float = 1.0
 
 
 def band_energies(mel: MelSpectrogram) -> tuple[np.ndarray, np.ndarray]:
@@ -250,10 +248,6 @@ def analyze(
     points = transition_centres(series, cfg.window_w)
     regions = build_regions(points, cfg.window_w, mel.n_frames)
     return series, regions
-
-
-def blur_kernel(cfg: TransitionConfig = TransitionConfig()) -> GaussianKernel:
-    return gaussian_kernel(size=cfg.blur_size, sigma=cfg.blur_sigma)
 
 
 def region_report(

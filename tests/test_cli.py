@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from refdiff import cli, dsp, synthgen, trainer
+from refdiff import cli, diffusion, dsp, synthgen, trainer
 from refdiff.synthgen import ScoreSpec, render_mel
 
 
@@ -381,6 +382,22 @@ class TestManifestIntegerOverflow:
         assert "infinity" in err
 
 
+class TestManifestNorm:
+    @pytest.mark.parametrize(
+        "norm", ['{"lo": 0, "hi": 1e999}', '{"lo": -1e999, "hi": 0}', '{"lo": 0, "hi": NaN}', '{"lo": 1, "hi": 1}']
+    )
+    def test_unusable_norm_exit2(self, trained, dataset_dir, capsys, norm):
+        # a non-finite norm would turn every metric into NaN, and lo >= hi
+        # cannot be normalized against
+        record = json.loads((dataset_dir / "manifest.jsonl").read_text().splitlines()[0])
+        record["norm"] = "SLOT"
+        bad = dataset_dir / "bad_norm.jsonl"  # beside the MELS files it names
+        bad.write_text(json.dumps(record).replace('"SLOT"', norm) + "\n")
+        code, out, err = run_cli(capsys, "eval", str(trained[0]), str(bad), "--steps", "2")
+        assert_one_line_input_error(code, out, err)
+        assert "norm" in err
+
+
 class TestGendata:
     def test_deterministic_hashes(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -580,6 +597,14 @@ class TestEvalCmd:
         assert_one_line_input_error(code, out, err)
         assert "log_floor" in err
 
+    @pytest.mark.parametrize("norm", [{"lo": 0, "hi": math.inf}, {"lo": 0, "hi": math.nan}, {"lo": 1, "hi": 1}])
+    def test_unusable_norm_exit2(self, trained, dataset_dir, tmp_path, capsys, norm):
+        # an infinite hi maps every value to -1 and still scores
+        blob = self._edit_header(trained[0].read_bytes(), lambda h: h.update(norm=norm))
+        code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
+        assert_one_line_input_error(code, out, err)
+        assert "norm" in err
+
     def test_non_finite_parameter_exit2(self, trained, dataset_dir, tmp_path, capsys):
         # the last block, cond.b, has hidden = 8 values
         blob = trained[0].read_bytes()[:-64] + np.full(8, np.nan).astype("<f8").tobytes()
@@ -641,3 +666,111 @@ class TestAblateCmd:
         for command in ("train", "ablate"):
             code, _, _ = run_cli(capsys, command, str(cfg_path), str(dataset_dir / "manifest.jsonl"))
             assert code == 3
+
+    @pytest.mark.parametrize("steps", [[], ["24", "51"], ["0"]], ids=["default", "51", "0"])
+    def test_steps_outside_schedule_exit3_before_training(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, steps
+    ):
+        calls = []
+        monkeypatch.setattr(trainer, "train", lambda *args: calls.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"schedule_T": 50}))
+        step_args = ["--steps", *steps] if steps else []
+        code, out, err = run_cli(
+            capsys, "ablate", str(cfg_path), str(dataset_dir / "manifest.jsonl"), *step_args
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "1..50" in err
+        assert calls == []
+
+    def test_variants_scored_at_full_chain(self, dataset_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"total_steps": 2, "batch_size": 1, "hidden": 2, "depth": 1, "step_dim": 2, "schedule_T": 50})
+        )
+        code, out, _ = run_cli(
+            capsys, "ablate", str(cfg_path), str(dataset_dir / "manifest.jsonl"),
+            "--steps", "24", "50", "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["eval"]["steps"] == 50
+        assert set(doc["steps"]) == {"24", "50"}
+
+
+class TestScheduleTooLarge:
+    """A schedule length too large to allocate ends in one stderr line.
+
+    The allocation failure is faked: on a host that overcommits memory, a
+    real request for 10^11 float64 values could succeed and then exhaust
+    the machine's memory.
+    """
+
+    T = 10**11
+
+    @pytest.fixture(autouse=True)
+    def fake_allocation_failure(self, monkeypatch):
+        real = diffusion.make_schedule
+
+        def make_schedule(T, *args):
+            if T >= self.T:
+                raise MemoryError(f"Unable to allocate {T * 8 / 2**30:.0f} GiB for an array with shape ({T},)")
+            return real(T, *args)
+
+        monkeypatch.setattr(diffusion, "make_schedule", make_schedule)
+        monkeypatch.setattr(trainer, "make_schedule", make_schedule)
+
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_checkpoint_schedule_exit2(self, trained, dataset_dir, tmp_path, capsys, command):
+        blob = TestEvalCmd._edit_header(trained[0].read_bytes(), lambda h: h["schedule"].update(T=self.T))
+        path = tmp_path / "huge.rdck"
+        path.write_bytes(blob)
+        argv = [command, str(path), str(dataset_dir / "manifest.jsonl")]
+        if command == "sample":
+            argv.append(str(tmp_path / "out.mels"))
+        assert_one_line_input_error(*run_cli(capsys, *argv))
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_config_schedule_exit3(self, dataset_dir, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2, "schedule_T": self.T})
+        )
+        argv = [command, str(cfg_path), str(dataset_dir / "manifest.jsonl")]
+        if command == "train":
+            argv += ["--out", str(tmp_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("parameter error:")
+
+
+class TestOldConfigKeys:
+    """Files that still carry the removed ``eval_every`` and ``eval_steps``
+    settings load as before: unknown config keys are ignored."""
+
+    OLD = {"eval_every": 3, "eval_steps": 4}
+
+    def test_train_config(self, dataset_dir, tmp_path, capsys):
+        base = {"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}
+        assert trainer.TrainConfig.from_json({**base, **self.OLD}) == trainer.TrainConfig.from_json(base)
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps({**base, **self.OLD}))
+        code, _, _ = run_cli(
+            capsys, "train", str(cfg_path), str(dataset_dir / "manifest.jsonl"), "--out", str(tmp_path)
+        )
+        assert code == 0
+        curve = json.loads((tmp_path / "model_loss.json").read_text())
+        assert set(curve) == {"loss_curve", "config"}
+        assert curve["config"] == trainer.TrainConfig.from_json(base).to_json()
+
+    def test_checkpoint_header(self, trained, dataset_dir, tmp_path, capsys):
+        old = tmp_path / "old.rdck"
+        old.write_bytes(TestEvalCmd._edit_header(trained[0].read_bytes(), lambda h: h["config"].update(self.OLD)))
+        old_run, new_run = (
+            run_cli(capsys, "eval", str(path), str(dataset_dir / "manifest.jsonl"), "--steps", "10", "--json")
+            for path in (old, trained[0])
+        )
+        assert old_run[0] == 0
+        assert old_run == new_run

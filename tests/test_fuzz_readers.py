@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -135,3 +136,76 @@ def test_region_report(files, region_report, data):
     blob = data.draw(damaged(region_report))
     blurred = os.path.join(files["root"], "blurred.mels")
     run_on(files, ".json", blob, lambda p: ["blur", files["mels"], blurred, "--regions", p])
+
+
+# Byte mutations seldom turn valid JSON into valid JSON of another shape,
+# so each JSON reader also gets documents with one value swapped for one
+# of another type.  The swap is spliced in as text so that 1e999 (which
+# json reads as inf) and nesting past the recursion limit reach the reader.
+SWAPS = ["null", "[1]", '{"a": 1}', '"x"', "1e999", "[" * 100_000 + "]" * 100_000]
+_SLOT = "\x00swap\x00"
+
+
+def value_paths(doc, path=()):
+    """Paths to ``doc`` itself, every dict value and the first element of
+    every list, recursively."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from value_paths(value, path + (key,))
+    elif isinstance(doc, list) and doc:
+        yield from value_paths(doc[0], path + (0,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def swapped(draw, doc, within=()):
+    """``doc`` as JSON text with the value at one path under ``within``
+    replaced by a value of another type."""
+    path = within + draw(st.sampled_from(list(value_paths(_at(doc, within)))))
+    if not path:
+        return draw(st.sampled_from(SWAPS))
+    doc = json.loads(json.dumps(doc))
+    _at(doc, path[:-1])[path[-1]] = _SLOT
+    return json.dumps(doc).replace(json.dumps(_SLOT), draw(st.sampled_from(SWAPS)))
+
+
+@FUZZ
+@given(data=st.data())
+def test_manifest_record_type_swap(files, data):
+    record = json.loads(read(files["manifest"]))
+    text = data.draw(swapped(record))
+    run_on(files, ".jsonl", text.encode() + b"\n", lambda p: ["eval", files["ckpt"], p, "--steps", "2"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_train_config_type_swap(files, data):
+    config = {"total_steps": 1, "batch_size": 1, "hidden": 2, "depth": 1, "step_dim": 2, "schedule_T": 10}
+    text = data.draw(swapped(config))
+    # a dict in place of the whole config is a valid all-defaults config;
+    # --steps 0 makes ablate stop right after reading it, before training
+    run_on(files, ".json", text.encode(), lambda p: ["ablate", p, files["manifest"], "--steps", "0"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_region_report_type_swap(files, region_report, data):
+    text = data.draw(swapped(json.loads(region_report)))
+    blurred = os.path.join(files["root"], "blurred.mels")
+    run_on(files, ".json", text.encode(), lambda p: ["blur", files["mels"], blurred, "--regions", p])
+
+
+@FUZZ
+@given(data=st.data())
+def test_checkpoint_header_config_type_swap(files, data):
+    blob = read(files["ckpt"])
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header = data.draw(swapped(json.loads(blob[12 : 12 + header_len]), within=("config",))).encode()
+    blob = blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + header_len :]
+    run_on(files, ".rdck", blob, lambda p: ["eval", p, files["manifest"], "--steps", "2"])

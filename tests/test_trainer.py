@@ -160,13 +160,6 @@ class TestTrain:
         for (na, a), (_, b) in zip(params.named_arrays(), ckpt.params.named_arrays()):
             assert np.array_equal(a, b), na
 
-    def test_eval_cadence_recorded(self, small_dataset):
-        cfg = tiny_train_config(total_steps=6, eval_every=3, eval_steps=4)
-        _, history = trainer.train(cfg, small_dataset)
-        assert [e["step"] for e in history.evals] == [3, 6]
-        for entry in history.evals:
-            assert entry["metrics"]["global_mse"] >= 0.0
-
     def test_divergence_aborts(self, small_dataset, monkeypatch):
         # the guard fires on any non-finite batch loss
         def poisoned(eps_true, eps_hat, weights):
@@ -203,7 +196,7 @@ class TestPrepareReference:
         lo, hi = small_dataset.norm_lo, small_dataset.norm_hi
         got, regions = trainer.prepare_reference(s.ref_mel, True, lo, hi)
         log_ref = dsp.log_compress(s.ref_mel, 1e-5)
-        blurred = transition.blur_regions(log_ref, regions, transition.blur_kernel())
+        blurred = transition.blur_regions(log_ref, regions, dsp.gaussian_kernel())
         expected = synthgen.normalize_log_mel(blurred, lo, hi)
         assert regions.regions
         assert np.array_equal(got.data, expected.data)
@@ -303,7 +296,7 @@ class TestCheckpointRoundtrip:
 
 class TestAblationSuite:
     def test_schema_and_variants(self, small_dataset):
-        cfg = tiny_train_config(total_steps=4, eval_steps=5)
+        cfg = tiny_train_config(total_steps=4, schedule_T=5)
         table = trainer.ablation_suite(cfg, small_dataset, steps_grid=(3, 5))
         assert set(table["variants"]) == {
             "full",
