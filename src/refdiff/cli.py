@@ -37,6 +37,13 @@ def _out_dir(explicit: str | None) -> str:
     return explicit or os.environ.get("REFDIFF_OUT_DIR", ".")
 
 
+def _check_writable(path: str) -> None:
+    """An input error unless ``path`` names a file in an existing
+    directory; ``train`` and ``ablate`` check this before they train."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise InputError(f"cannot write {path}: not a file in an existing directory")
+
+
 def _load_spectrogram(path: str) -> dsp.MelSpectrogram:
     """Accept either a WAV file (converted with default settings) or MELS."""
     try:
@@ -172,11 +179,13 @@ def _load_config(path: str) -> trainer.TrainConfig:
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     dataset = _load_manifest(args.manifest)
-    ckpt, history = trainer.train(config, dataset)
     out_dir = _out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, args.name + ".rdck")
     curve_path = os.path.join(out_dir, args.name + "_loss.json")
+    _check_writable(ckpt_path)
+    _check_writable(curve_path)
+    ckpt, history = trainer.train(config, dataset)
     ckpt.save(ckpt_path)
     final_loss = history.loss_curve[-1]
     with open(curve_path, "w", encoding="utf-8") as fh:
@@ -196,16 +205,23 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _steps(args, ckpt: trainer.Checkpoint) -> int:
+    """``--steps``, by default the checkpoint's full chain, checked against it."""
+    steps = ckpt.schedule.T if args.steps is None else args.steps
+    if not (1 <= steps <= ckpt.schedule.T):
+        raise ParamError(f"steps must lie in 1..{ckpt.schedule.T}")
+    return steps
+
+
 def cmd_sample(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
     dataset = _load_manifest(args.manifest)
     if not (0 <= args.index < len(dataset)):
         raise ParamError(f"index {args.index} outside dataset of {len(dataset)}")
-    if not (1 <= args.steps <= ckpt.schedule.T):
-        raise ParamError(f"steps must lie in 1..{ckpt.schedule.T}")
+    steps = _steps(args, ckpt)
     item = dataset[args.index]
     prepared = trainer.prepare_sample(item, ckpt.config, ckpt.norm_lo, ckpt.norm_hi)
-    x0 = trainer.sample_prepared(ckpt, prepared, args.steps, args.seed)
+    x0 = trainer.sample_prepared(ckpt, prepared, steps, args.seed)
     out = dsp.MelSpectrogram(data=x0, n_mels=item.gt_mel.n_mels, hop=item.gt_mel.hop, is_log=True)
     dsp.write_mels(args.output, out)
     mse = float(((x0 - trainer.gt_in_checkpoint_norm(ckpt, dataset, item)) ** 2).mean())
@@ -213,12 +229,12 @@ def cmd_sample(args) -> int:
         {
             "output": args.output,
             "index": args.index,
-            "steps": args.steps,
+            "steps": steps,
             "seed": args.seed,
             "mse_vs_gt": mse,
         },
         args.json,
-        f"sampled index {args.index} at {args.steps} steps (mse {mse:.6f}) -> {args.output}",
+        f"sampled index {args.index} at {steps} steps (mse {mse:.6f}) -> {args.output}",
     )
     return EXIT_OK
 
@@ -226,10 +242,9 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
     dataset = _load_manifest(args.manifest)
-    if not (1 <= args.steps <= ckpt.schedule.T):
-        raise ParamError(f"steps must lie in 1..{ckpt.schedule.T}")
-    metrics = trainer.evaluate(ckpt, dataset, args.steps, seed=args.seed)
-    doc = {"steps": args.steps, "seed": args.seed, "metrics": metrics.to_json()}
+    steps = _steps(args, ckpt)
+    metrics = trainer.evaluate(ckpt, dataset, steps, seed=args.seed)
+    doc = {"steps": steps, "seed": args.seed, "metrics": metrics.to_json()}
     _emit(
         doc,
         args.json,
@@ -243,6 +258,8 @@ def cmd_ablate(args) -> int:
     config = _load_config(args.config)
     if not all(1 <= steps <= config.schedule_T for steps in args.steps):
         raise ParamError(f"steps must lie in 1..{config.schedule_T}")
+    if args.out:
+        _check_writable(args.out)
     dataset = _load_manifest(args.manifest)
     eval_dataset = _load_manifest(args.eval_manifest) if args.eval_manifest else None
     table = trainer.ablation_suite(
@@ -336,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("output")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=int, help="sampler steps (default: the checkpoint's schedule length)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sample)
@@ -344,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("checkpoint")
     p.add_argument("manifest")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=int, help="sampler steps (default: the checkpoint's schedule length)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
@@ -375,6 +392,10 @@ def main(argv=None) -> int:
     except trainer.TrainingDivergedError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        # an output that cannot be written; the message names the path
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (ValueError, MemoryError) as exc:
         # MemoryError: a config whose sizes cannot be allocated, such as
         # a schedule length of 1e11

@@ -14,12 +14,10 @@ from __future__ import annotations
 import math
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
 
 
 class WavError(ValueError):
@@ -149,77 +147,78 @@ class MelConfig:
     window: str = "hann"
 
 
+_WAV_ENCODINGS = {(1, 16): np.dtype("<i2"), (3, 32): np.dtype("<f4")}  # (format tag, bits)
+# WAVE_FORMAT_EXTENSIBLE's subformat GUID is a u32 format tag, then this tail
+_SUBFORMAT_TAIL = bytes.fromhex("00001000800000aa00389b71")
+
+
 def load_wav(path) -> AudioBuffer:
-    """Read a PCM16 or IEEE float32 RIFF/WAVE file as mono audio.
-
-    Multichannel files keep only the first channel.  PCM16 samples are
-    scaled by 1/32768; float samples are clipped to [-1, 1].  A file
-    that ends before the length its header or its data chunk gives is
-    unreadable.
-    """
+    """Read a little-endian RIFF/WAVE file as mono audio: the first channel of
+    its whole frames of PCM16 (scaled by 1/32768) or IEEE float32 (clipped to
+    [-1, 1]), plain or as the WAVE_FORMAT_EXTENSIBLE subformat.  One chunk walk
+    up to the RIFF size reads ``fmt `` and stops at the first ``data``.  Raises
+    UnreadableWavError on a malformed field, UnsupportedWavEncodingError on
+    any other encoding."""
     try:
-        with open(path, "rb") as fh, warnings.catch_warnings():
-            _check_data_chunks(fh)
-            # scipy only warns when the file ends before the size its header
-            # gives, and returns the shortened audio; other warnings pass
-            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
-            sample_rate, data = wavfile.read(fh)
-    except FileNotFoundError:
-        raise UnreadableWavError(f"cannot open WAV file: {path}") from None
-    except Exception as exc:
-        # scipy's parser raises more than ValueError on a malformed file:
-        # struct.error or EOFError when it ends inside a chunk field,
-        # ZeroDivisionError for zero channels, UnboundLocalError when the
-        # RIFF size ends before the data chunk; the EOF warning raised above
-        # and the ValueError of a short data chunk
-        raise UnreadableWavError(f"not a readable WAV file: {path} ({exc})") from None
-    if data.ndim > 1:
-        data = data[:, 0]
-    if data.size == 0:
-        raise EmptyAudioError(f"WAV file contains no samples: {path}")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = np.clip(data.astype(np.float64), -1.0, 1.0)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise UnreadableWavError(f"cannot open WAV file: {path} ({exc.strerror})") from None
+
+    def unreadable(why: str) -> UnreadableWavError:
+        return UnreadableWavError(f"not a readable WAV file: {path} ({why})")
+
+    end = 8 + int.from_bytes(raw[4:8], "little")
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE" or end > len(raw):
+        raise unreadable(f"no RIFF/WAVE header whose size fits the {len(raw)}-byte file")
+    fmt, pos = None, 12
+    while pos + 8 <= end:
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        pos += 8
+        if chunk_id in (b"fmt ", b"data") and size > len(raw) - pos:
+            raise unreadable(f"{chunk_id.decode()} chunk declares {size} bytes, {len(raw) - pos} follow")
+        if chunk_id == b"data":
+            break
+        if chunk_id == b"fmt ":
+            if size < 16:
+                raise unreadable(f"fmt chunk of {size} bytes, fewer than 16")
+            fmt = list(struct.unpack_from("<HHIIHH", raw, pos))
+            if fmt[0] == 0xFFFE and size >= 40 and raw[pos + 28 : pos + 40] == _SUBFORMAT_TAIL:
+                fmt[0] = struct.unpack_from("<I", raw, pos + 24)[0]
+        pos += size + (size & 1)
     else:
-        raise UnsupportedWavEncodingError(
-            f"unsupported WAV encoding {data.dtype}; expected PCM16 or float32"
-        )
-    return AudioBuffer(samples=samples, sample_rate=int(sample_rate))
-
-
-def _check_data_chunks(fh) -> None:
-    """Raise ValueError if a data chunk declares more bytes than follow it.
-
-    scipy stops at the RIFF size, which a cut file may have had rewritten
-    to match.  This walks the chunk headers (a 4-byte id, a u32 size, a
-    pad byte after an odd-sized chunk) to the end of the file; a file
-    that is not RIFF/WAVE is left to scipy.
-    """
-    head = fh.read(12)
-    if head[:4] == b"RIFF" and head[8:] == b"WAVE":
-        file_size = os.fstat(fh.fileno()).st_size
-        pos = 12
-        while pos + 8 <= file_size:
-            chunk = fh.read(8)
-            (size,) = struct.unpack("<I", chunk[4:])
-            pos += 8
-            if chunk[:4] == b"data" and size > file_size - pos:
-                raise ValueError(f"data chunk declares {size} bytes, {file_size - pos} follow")
-            pos += size + (size & 1)
-            fh.seek(pos)
-    fh.seek(0)
+        raise unreadable("no data chunk")
+    if fmt is None:
+        raise unreadable("no fmt chunk before the data chunk")
+    tag, channels, rate, byte_rate, block_align, bits = fmt
+    dtype = _WAV_ENCODINGS.get((tag, bits))
+    if dtype is None:
+        raise UnsupportedWavEncodingError(f"WAV format {tag}, {bits} bits, not PCM16/float32: {path}")
+    if not 0 < block_align == channels * dtype.itemsize or not 0 < byte_rate == rate * block_align:
+        raise unreadable(f"{channels} channels, {block_align}-byte blocks, {byte_rate} B/s at {rate} Hz")
+    first = np.frombuffer(raw, dtype, size // block_align * channels, pos)[::channels].astype(float)
+    if first.size == 0:
+        raise EmptyAudioError(f"WAV file contains no samples: {path}")
+    if np.isnan(first).any():
+        raise unreadable("NaN sample")
+    scaled = first / 32768.0 if dtype.kind == "i" else np.clip(first, -1.0, 1.0)
+    return AudioBuffer(samples=scaled, sample_rate=rate)
 
 
 def save_wav(path, audio: AudioBuffer, encoding: str = "pcm16") -> None:
-    """Write an AudioBuffer as PCM16 or float32 WAV (test/CLI helper)."""
+    """Write mono audio as PCM16 (scaled by 32768, rounded and clipped) or
+    IEEE float32 WAV with the canonical 44-byte header (test/CLI helper)."""
     if encoding == "pcm16":
-        data = np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype(np.int16)
+        tag, data = 1, np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype("<i2")
     elif encoding == "float32":
-        data = audio.samples.astype(np.float32)
+        tag, data = 3, audio.samples.astype("<f4")
     else:
         raise ValueError(f"unknown encoding: {encoding}")
-    wavfile.write(path, audio.sample_rate, data)
+    rate, width = audio.sample_rate, data.itemsize
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data.nbytes, b"WAVE", b"fmt ", 16,
+                             tag, 1, rate, rate * width, width, 8 * width, b"data", data.nbytes))
+        fh.write(data.tobytes())
 
 
 def reflect_indices(n: int, pad: int) -> np.ndarray:

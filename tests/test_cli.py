@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -153,10 +154,88 @@ class TestAnalyze:
         extra = b"xtra" + struct.pack("<I", 4) + b"\x00" * 4
         riff_size = struct.unpack("<I", blob[4:8])[0] + len(extra)
         wav.write_bytes(blob[:4] + struct.pack("<I", riff_size) + blob[8:] + extra)
-        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
-            code, out, _ = run_cli(capsys, "analyze", str(wav), "--json")
-        assert code == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "analyze", str(wav), "--json")
+        assert code == 0 and err == ""
         assert json.loads(out)["regions"] == []
+
+
+def wav_chunk(chunk_id, payload):
+    return chunk_id + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1)
+
+
+def wav_fmt(tag=1, channels=1, bits=16, block_align=None, rate=8000):
+    if block_align is None:
+        block_align = channels * bits // 8
+    return wav_chunk(b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * block_align, block_align, bits))
+
+
+def riff(*chunks, size=None):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body) if size is None else size) + body
+
+
+class TestWavReader:
+    """Hand-built WAV files through ``analyze``: each malformed one exits 2
+    with one line, from an explicit check of the reader."""
+
+    DATA = wav_chunk(b"data", np.zeros(2048, dtype="<i2").tobytes())
+    BODY = len(riff(wav_fmt(), DATA)) - 8
+
+    @pytest.mark.parametrize(
+        "blob, error",
+        [
+            (riff(wav_chunk(b"fmt ", wav_fmt()[8:22]), DATA), dsp.UnreadableWavError),
+            (riff(DATA), dsp.UnreadableWavError),
+            (riff(wav_fmt()), dsp.UnreadableWavError),
+            (riff(DATA, wav_fmt()), dsp.UnreadableWavError),
+            (riff(wav_fmt(channels=0), DATA), dsp.UnreadableWavError),
+            (riff(wav_fmt(channels=2, block_align=2), DATA), dsp.UnreadableWavError),
+            (riff(wav_fmt(), DATA, size=BODY + 100), dsp.UnreadableWavError),
+            (riff(wav_fmt(bits=8), DATA), dsp.UnsupportedWavEncodingError),
+            (riff(wav_fmt(bits=24), DATA), dsp.UnsupportedWavEncodingError),
+        ],
+        ids=[
+            "short-fmt", "no-fmt", "no-data", "data-before-fmt", "zero-channels",
+            "block-align", "riff-size-past-eof", "pcm8", "pcm24",
+        ],
+    )
+    def test_rejected_exit2(self, tmp_path, capsys, blob, error):
+        wav = tmp_path / "bad.wav"
+        wav.write_bytes(blob)
+        with pytest.raises(error):
+            dsp.load_wav(wav)
+        assert_one_line_input_error(*run_cli(capsys, "analyze", str(wav)))
+
+    def test_valid_builder_file_loads(self, tmp_path, capsys):
+        # the files above differ from this one in the named field only
+        wav = tmp_path / "ok.wav"
+        wav.write_bytes(riff(wav_fmt(), self.DATA))
+        code, out, err = run_cli(capsys, "analyze", str(wav), "--json")
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("tag, dtype", [(1, "<i2"), (3, "<f4")])
+    def test_extensible_matches_scipy(self, tmp_path, capsys, tag, dtype):
+        rng = np.random.default_rng(tag)
+        frames = rng.uniform(-1, 1, (1000, 2))
+        if dtype == "<i2":
+            frames = np.round(frames * 32767)
+        data = frames.astype(dtype)
+        width = data.itemsize
+        subformat = struct.pack("<I", tag) + bytes.fromhex("00001000800000aa00389b71")
+        fmt = struct.pack(
+            "<HHIIHHHHI", 0xFFFE, 2, 8000, 8000 * 2 * width, 2 * width, 8 * width, 22, 8 * width, 3
+        ) + subformat
+        wav = tmp_path / "ext.wav"
+        wav.write_bytes(riff(wav_chunk(b"fmt ", fmt), wav_chunk(b"data", data.tobytes())))
+        rate, ref = wavfile.read(wav)
+        loaded = dsp.load_wav(wav)
+        first = ref[:, 0].astype(np.float64)
+        want = first / 32768.0 if dtype == "<i2" else np.clip(first, -1.0, 1.0)
+        assert (loaded.sample_rate, loaded.samples.tobytes()) == (rate, want.tobytes())
+        code, _, err = run_cli(capsys, "analyze", str(wav), "--json")
+        assert code == 0 and err == ""
 
 
 class TestAnalyzeEchoedValues:
@@ -774,3 +853,119 @@ class TestOldConfigKeys:
         )
         assert old_run[0] == 0
         assert old_run == new_run
+
+
+class TestDefaultSteps:
+    """``eval`` and ``sample`` run the checkpoint's full chain unless
+    ``--steps`` says otherwise, and echo the count they used."""
+
+    @pytest.fixture(scope="class")
+    def short_chain(self, tmp_path_factory, dataset_dir):
+        out = tmp_path_factory.mktemp("t50")
+        cfg_path = out / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"total_steps": 1, "batch_size": 1, "hidden": 2, "depth": 1, "step_dim": 2, "schedule_T": 50}
+        ))
+        argv = ["train", str(cfg_path), str(dataset_dir / "manifest.jsonl"), "--out", str(out)]
+        assert cli.main(argv) == 0
+        return out / "model.rdck"
+
+    def test_eval(self, short_chain, dataset_dir, capsys):
+        manifest = str(dataset_dir / "manifest.jsonl")
+        code, out, _ = run_cli(capsys, "eval", str(short_chain), manifest, "--json")
+        assert code == 0
+        assert json.loads(out)["steps"] == 50
+        _, explicit, _ = run_cli(capsys, "eval", str(short_chain), manifest, "--steps", "50", "--json")
+        assert explicit == out
+
+    def test_sample(self, short_chain, dataset_dir, tmp_path, capsys):
+        code, out, _ = run_cli(
+            capsys, "sample", str(short_chain), str(dataset_dir / "manifest.jsonl"),
+            str(tmp_path / "x.mels"), "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["steps"] == 50
+
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_explicit_steps_still_checked(self, short_chain, dataset_dir, tmp_path, capsys, command):
+        argv = [command, str(short_chain), str(dataset_dir / "manifest.jsonl")]
+        if command == "sample":
+            argv.append(str(tmp_path / "x.mels"))
+        code, out, err = run_cli(capsys, *argv, "--steps", "51")
+        assert code == 3 and out == ""
+        assert "1..50" in err
+
+    def test_default_checkpoint_runs_100_steps(self, trained, dataset_dir, capsys):
+        code, out, _ = run_cli(capsys, "eval", str(trained[0]), str(dataset_dir / "manifest.jsonl"), "--json")
+        assert code == 0
+        assert json.loads(out)["steps"] == 100
+
+
+class TestOutputPaths:
+    """An output that cannot be written exits 2 with one line naming it;
+    ``train`` and ``ablate`` find out before they train."""
+
+    @pytest.fixture
+    def train_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer, "train", lambda *args: calls.append(args))
+        return calls
+
+    @staticmethod
+    def assert_names(path, code, out, err):
+        assert_one_line_input_error(code, out, err)
+        assert str(path) in err
+
+    def test_sample(self, trained, dataset_dir, tmp_path, capsys):
+        dest = tmp_path / "missing" / "out.mels"
+        self.assert_names(dest, *run_cli(
+            capsys, "sample", str(trained[0]), str(dataset_dir / "manifest.jsonl"), str(dest), "--steps", "2"
+        ))
+
+    def test_blur(self, tmp_path, capsys):
+        mels = tmp_path / "two.mels"
+        write_two_note_mels(mels)
+        dest = tmp_path / "missing" / "b.mels"
+        self.assert_names(dest, *run_cli(capsys, "blur", str(mels), str(dest)))
+
+    def test_gendata_out_is_a_file(self, tmp_path, capsys):
+        dest = tmp_path / "file"
+        dest.write_text("")
+        self.assert_names(dest, *run_cli(capsys, "gendata", "--n", "1", "--out", str(dest)))
+
+    @pytest.mark.parametrize("where", ["out-is-a-file", "name-in-missing-dir"])
+    def test_train(self, dataset_dir, tmp_path, capsys, train_calls, where):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
+        argv = ["train", str(cfg_path), str(dataset_dir / "manifest.jsonl")]
+        if where == "out-is-a-file":
+            dest = tmp_path / "file"
+            dest.write_text("")
+            argv += ["--out", str(dest)]
+        else:
+            dest = tmp_path / "sub" / "model.rdck"
+            argv += ["--out", str(tmp_path), "--name", "sub/model"]
+        self.assert_names(dest, *run_cli(capsys, *argv))
+        assert train_calls == []
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_ablate(self, dataset_dir, tmp_path, capsys, train_calls, where):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
+        dest = tmp_path / "missing" / "t.json" if where == "missing-dir" else tmp_path
+        self.assert_names(dest, *run_cli(
+            capsys, "ablate", str(cfg_path), str(dataset_dir / "manifest.jsonl"), "--out", str(dest)
+        ))
+        assert train_calls == []
+
+
+def test_cli_import_leaves_scipy_io_out():
+    """The WAV reader is refdiff's own: importing the CLI must not bring
+    in scipy's parser."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, refdiff.cli; print('scipy.io' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

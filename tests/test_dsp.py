@@ -91,7 +91,6 @@ class TestLoadWav:
 
     @pytest.mark.parametrize("blob", [b"RIFF", b"RIFF\x10\x00\x00\x00WAVEfmt "])
     def test_file_ending_inside_a_chunk_field(self, tmp_path, blob):
-        # scipy raises struct.error here, not ValueError
         path = tmp_path / "short.wav"
         path.write_bytes(blob)
         with pytest.raises(dsp.UnreadableWavError):
@@ -112,6 +111,62 @@ class TestLoadWav:
         wavfile.write(path, 8000, np.zeros(0, dtype=np.int16))
         with pytest.raises(dsp.EmptyAudioError):
             dsp.load_wav(path)
+
+
+def parent_scaling(data: np.ndarray) -> np.ndarray:
+    """The reference ``load_wav`` is held to: ``wavfile.read`` output reduced
+    to its first channel, PCM16 / 32768 and float clipped to [-1, 1]."""
+    if data.ndim > 1:
+        data = data[:, 0]
+    if data.dtype == np.int16:
+        return data.astype(np.float64) / 32768.0
+    return np.clip(data.astype(np.float64), -1.0, 1.0)
+
+
+class TestWavBytesMatchScipy:
+    """The reader and writer against ``scipy.io.wavfile`` as the reference."""
+
+    @pytest.mark.parametrize("frames", [1, 2, 3, 4095, 44100])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_load_matches_scipy(self, tmp_path, encoding, channels, frames):
+        from scipy.io import wavfile
+
+        rng = np.random.default_rng(frames * 10 + channels)
+        if encoding == "pcm16":
+            data = rng.integers(-32768, 32768, (frames, channels)).astype(np.int16)
+        else:
+            # beyond [-1, 1] too, so the clip is exercised
+            data = rng.uniform(-1.5, 1.5, (frames, channels)).astype(np.float32)
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 22050, data[:, 0] if channels == 1 else data)
+        rate, ref = wavfile.read(path)
+        loaded = dsp.load_wav(path)
+        assert loaded.sample_rate == rate == 22050
+        assert loaded.samples.tobytes() == parent_scaling(ref).tobytes()
+
+    @pytest.mark.parametrize("frames", [1, 2, 3, 4095])
+    def test_pcm16_file_matches_scipy_writer(self, tmp_path, frames):
+        from scipy.io import wavfile
+
+        x = np.random.default_rng(frames).uniform(-1, 1, frames)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+        dsp.save_wav(ours, dsp.AudioBuffer(samples=x, sample_rate=16000))
+        pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
+        wavfile.write(theirs, 16000, pcm)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("frames", [1, 2, 3, 4095])
+    def test_float32_file_reads_back_in_scipy(self, tmp_path, frames):
+        from scipy.io import wavfile
+
+        x = np.random.default_rng(frames).uniform(-1, 1, frames)
+        path = tmp_path / "f32.wav"
+        dsp.save_wav(path, dsp.AudioBuffer(samples=x, sample_rate=16000), encoding="float32")
+        rate, data = wavfile.read(path)
+        assert rate == 16000
+        assert data.dtype == np.float32 and data.tobytes() == x.astype(np.float32).tobytes()
+        assert len(path.read_bytes()) == 44 + 4 * frames
 
 
 def index_matrix_stft(samples, frame, hop, win):

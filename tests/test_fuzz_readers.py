@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from refdiff import cli, diffusion, dsp, synthgen, trainer
 from refdiff import denoiser as dn
@@ -27,7 +28,7 @@ FUZZ = settings(
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """One valid file of each format: a tiny checkpoint, a one-item
-    manifest with its MELS files, and a short WAV."""
+    manifest with its MELS files, a PCM16 mono WAV and a float32 stereo one."""
     root = tmp_path_factory.mktemp("fuzz")
     dataset = synthgen.make_dataset(1, seed=3)
     manifest = synthgen.write_dataset(dataset, root / "data")
@@ -52,12 +53,17 @@ def files(tmp_path_factory):
     wav = root / "tone.wav"
     t = np.arange(4096) / 8000.0
     dsp.save_wav(wav, dsp.AudioBuffer(samples=0.5 * np.sin(2 * np.pi * 440.0 * t), sample_rate=8000))
+    # short, so that byte mutations often land in the encoding, channel
+    # and block-align fields of its header
+    stereo = root / "stereo_f32.wav"
+    wavfile.write(stereo, 8000, np.random.default_rng(0).uniform(-1, 1, (8, 2)).astype(np.float32))
     return {
         "root": root,
         "manifest": manifest,
         "mels": os.path.join(root / "data", "ref_0000.mels"),
         "ckpt": str(ckpt_path),
         "wav": str(wav),
+        "wav_stereo_f32": str(stereo),
     }
 
 
@@ -111,6 +117,14 @@ def test_mels(files, data):
 def test_wav(files, data):
     blob = data.draw(damaged(read(files["wav"])))
     run_on(files, ".wav", blob, lambda p: ["analyze", p, "--json"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_wav_float32_stereo(files, data):
+    blob = data.draw(damaged(read(files["wav_stereo_f32"])))
+    # --k 1 needs only 2 frames, which 8 samples give
+    run_on(files, ".wav", blob, lambda p: ["analyze", p, "--k", "1", "--json"])
 
 
 @FUZZ
