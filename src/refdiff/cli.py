@@ -67,11 +67,14 @@ def _load_spectrogram(path: str) -> dsp.MelSpectrogram:
 
 def _detector_config(mel: dsp.MelSpectrogram, args, **extra) -> transition.TransitionConfig:
     """The transition detector's settings from ``--k``/``--w``, checked
-    against ``mel``.  Detection needs a linear-domain spectrogram of
-    T >= max(2, (k+1)//2) frames: two to see a crossing, and (k+1)//2
-    for the reflect-padded smoothing window."""
+    against ``mel``.  Detection needs a linear-domain spectrogram of two
+    or more mel bins (a low and a high band) and T >= max(2, (k+1)//2)
+    frames: two to see a crossing, and (k+1)//2 for the reflect-padded
+    smoothing window."""
     if mel.is_log:
         raise InputError("transition detection needs a linear-domain spectrogram")
+    if mel.n_mels < 2:
+        raise InputError(f"spectrogram has {mel.n_mels} mel bin; transition detection needs at least 2")
     if args.k < 1 or args.k % 2 == 0 or args.w < 1:
         raise ParamError("k must be odd and positive, w must be >= 1")
     need = max(2, (args.k + 1) // 2)

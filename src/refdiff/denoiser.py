@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .dsp import MelSpectrogram
-
 ARCH_KEYS = ("n_mels", "hidden", "depth", "cond_dim", "step_dim", "kernel")
 
 
@@ -208,12 +206,6 @@ class ForwardTrace:
     eps_shape: tuple[int, int] | None = None
 
 
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, MelSpectrogram):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
-
-
 def _flatten_conv(w: np.ndarray) -> np.ndarray:
     """(C_out, C_in, K) weights as the (C_out, K*C_in) matrix that multiplies
     the windows; a view for the arrays ``init_params`` makes, a copy otherwise."""
@@ -308,15 +300,15 @@ def _run_branch(
 
 def reference_forward(
     params: DenoiserParams,
-    ref_mel,
+    ref_mel: np.ndarray,
     cond: np.ndarray,
     trace: ForwardTrace | None = None,
 ) -> list[np.ndarray]:
-    """Run the reference branch; returns each block's output (H x T).
+    """Run the reference branch on an F x T array; returns each block's output (H x T).
 
     Pass a ForwardTrace to record activations for a later backward pass.
     """
-    x = _as_matrix(ref_mel)
+    x = np.asarray(ref_mel, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
     if x.shape[0] != params.n_mels:
         raise ValueError("reference rows must equal n_mels")

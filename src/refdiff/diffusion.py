@@ -23,8 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .transition import WeightMap
-
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -256,16 +254,17 @@ def sample(
 
 
 def weighted_eps_loss(
-    eps_true: np.ndarray, eps_hat: np.ndarray, weights: WeightMap
+    eps_true: np.ndarray, eps_hat: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Weighted mean squared error between true and predicted noise.
+    """Weighted mean squared error between true and predicted noise, under
+    ``weights``, a positive array of their shape.
 
     loss = sum(w * (eps - eps_hat)^2) / sum(w); the returned gradient is
     d loss / d eps_hat = -2 w (eps - eps_hat) / sum(w).
     """
     eps_true = np.asarray(eps_true, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    w = weights.data
+    w = np.asarray(weights, dtype=np.float64)
     _check_shapes(eps_true, eps_hat, w)
     if w.min() <= 0.0:
         raise ValueError("weights must be positive")

@@ -120,7 +120,6 @@ class GaussianKernel:
     """Odd-length normalized Gaussian taps for separable blurring."""
 
     taps: np.ndarray
-    sigma: float
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
@@ -383,7 +382,7 @@ def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> GaussianKernel:
     offsets = np.arange(size) - center
     taps = np.exp(-(offsets**2) / (2.0 * sigma**2))
     taps /= taps.sum()
-    return GaussianKernel(taps=taps, sigma=sigma)
+    return GaussianKernel(taps=taps)
 
 
 def gaussian_blur_2d(
@@ -440,10 +439,13 @@ def read_mels(path) -> MelSpectrogram:
         if version != MELS_VERSION:
             raise ValueError(f"unsupported MELS version {version}: {path}")
         # checked against the file size first: a hostile F x T must not
-        # make the read allocate it
-        if os.fstat(fh.fileno()).st_size - _MELS_HEADER.size < 4 * n_mels * n_frames:
-            raise ValueError(f"truncated MELS payload: {path}")
-        payload = fh.read(4 * n_mels * n_frames)
+        # make the read allocate it, and a smaller one would misalign the rows
+        size, need = os.fstat(fh.fileno()).st_size - _MELS_HEADER.size, 4 * n_mels * n_frames
+        if size != need:
+            raise ValueError(
+                f"MELS payload of {size} bytes, its {n_mels} x {n_frames} header needs {need}: {path}"
+            )
+        payload = fh.read(need)
     data = np.frombuffer(payload, dtype="<f4").reshape(n_mels, n_frames)
     return MelSpectrogram(
         data=data.astype(np.float64), n_mels=n_mels, hop=hop, is_log=bool(is_log)

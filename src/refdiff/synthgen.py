@@ -22,7 +22,6 @@ from .dsp import MelSpectrogram, log_compress, mel_center_frequencies, read_mels
 from .transition import TransitionRegionSet, build_regions
 
 HARMONICS = 5
-FADE_FRAMES = 3
 SMEAR_REACH = 4  # degradation touches +-4 frames around each boundary
 
 

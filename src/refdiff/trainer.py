@@ -259,13 +259,13 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
             x_t = q_sample(item.gt, t, noise, schedule)
             trace = dn.ForwardTrace()
             if config.reference:
-                hiddens = dn.reference_forward(params, item.ref_norm, item.cond, trace=trace)
+                hiddens = dn.reference_forward(params, item.ref_norm.data, item.cond, trace=trace)
             else:
                 hiddens = None
             eps_hat, trace = dn.denoiser_forward(
                 params, x_t, t, item.cond, hiddens, trace=trace
             )
-            loss, loss_grad = weighted_eps_loss(noise, eps_hat, item.weights)
+            loss, loss_grad = weighted_eps_loss(noise, eps_hat, item.weights.data)
             dn.backward(params, trace, loss_grad, batch_grads)
             batch_loss += loss
         for name in batch_grads:
@@ -288,7 +288,7 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
 def make_predictor(ckpt: Checkpoint, prepared: PreparedSample):
     """Denoiser callable for the sampler; reference features computed once."""
     if ckpt.config.reference:
-        hiddens = dn.reference_forward(ckpt.params, prepared.ref_norm, prepared.cond)
+        hiddens = dn.reference_forward(ckpt.params, prepared.ref_norm.data, prepared.cond)
     else:
         hiddens = None
 

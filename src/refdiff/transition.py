@@ -77,13 +77,9 @@ class TransitionRegionSet:
 
 @dataclass(frozen=True)
 class WeightMap:
-    """Per-entry loss weights: lambda_in inside regions, 1 outside.
-
-    Built only by ``weight_map``, which checks lambda_in.
-    """
+    """F x T per-entry loss weights: lambda_in inside regions, 1 outside."""
 
     data: np.ndarray
-    lambda_in: float
 
 
 @dataclass(frozen=True)
@@ -143,13 +139,6 @@ def smooth_ratio(ratio: np.ndarray, k: int) -> np.ndarray:
         out += padded[i : i + T]
     out /= k
     return out
-
-
-def make_ratio_series(mel: MelSpectrogram, k: int = 9, eps: float = 1e-6) -> EnergyRatioSeries:
-    low, high = band_energies(mel)
-    raw = energy_ratio(low, high, eps)
-    smoothed = smooth_ratio(raw, k)
-    return EnergyRatioSeries(raw=raw, smoothed=smoothed, mean=float(smoothed.mean()), kernel_size=k)
 
 
 def detect_transition_points(series: EnergyRatioSeries) -> list[int]:
@@ -236,7 +225,7 @@ def weight_map(regions: TransitionRegionSet, n_mels: int, lambda_in: float) -> W
     data = np.ones((n_mels, regions.total_frames))
     for start, end in regions.regions:
         data[:, start:end] = lambda_in
-    return WeightMap(data=data, lambda_in=lambda_in)
+    return WeightMap(data=data)
 
 
 def analyze(
@@ -244,7 +233,9 @@ def analyze(
 ) -> tuple[EnergyRatioSeries, TransitionRegionSet]:
     """Full detector: band energies -> ratio -> smoothing -> crossings ->
     transition centres -> regions."""
-    series = make_ratio_series(mel, k=cfg.smooth_k, eps=cfg.eps)
+    raw = energy_ratio(*band_energies(mel), cfg.eps)
+    smoothed = smooth_ratio(raw, cfg.smooth_k)
+    series = EnergyRatioSeries(raw, smoothed, float(smoothed.mean()), cfg.smooth_k)
     points = transition_centres(series, cfg.window_w)
     regions = build_regions(points, cfg.window_w, mel.n_frames)
     return series, regions

@@ -342,6 +342,17 @@ class TestShortSpectrogram:
             assert code == 0
 
 
+@pytest.mark.parametrize("command", ["analyze", "blur"])
+def test_one_bin_spectrogram_exit2(tmp_path, capsys, command):
+    # detection splits the mel axis into a low and a high band
+    mels = tmp_path / "one_bin.mels"
+    dsp.write_mels(mels, dsp.MelSpectrogram(data=np.full((1, 40), 0.5), n_mels=1, hop=128))
+    outputs = [str(tmp_path / "out.mels")] if command == "blur" else []
+    code, out, err = run_cli(capsys, command, str(mels), *outputs)
+    assert_one_line_input_error(code, out, err)
+    assert "1 mel bin" in err
+
+
 class TestBlur:
     def test_empty_regions_payload_identical(self, tmp_path, capsys):
         mels = tmp_path / "in.mels"

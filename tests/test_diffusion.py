@@ -9,7 +9,7 @@ from refdiff.transition import TransitionRegionSet, weight_map
 
 def ones_weights(shape):
     regions = TransitionRegionSet(regions=(), window=1, total_frames=shape[1])
-    return weight_map(regions, shape[0], 1.0)
+    return weight_map(regions, shape[0], 1.0).data
 
 
 class TestMakeSchedule:
@@ -346,9 +346,8 @@ class TestWeightedEpsLoss:
         eps = np.array([[1.0, 0.0], [2.0, 1.0]])
         eps_hat = np.array([[0.0, 0.0], [1.0, 3.0]])
         regions = TransitionRegionSet(regions=(), window=1, total_frames=2)
-        wm = weight_map(regions, 2, 1.0)
-        wm.data[1, :] = 2.0
-        w = type(wm)(data=wm.data, lambda_in=2.0)
+        w = weight_map(regions, 2, 1.0).data
+        w[1, :] = 2.0
         # sum w = 6; sum w*(d^2) = 1*1 + 1*0 + 2*1 + 2*4 = 11
         loss, grad = diffusion.weighted_eps_loss(eps, eps_hat, w)
         np.testing.assert_allclose(loss, 11.0 / 6.0, rtol=1e-14)
@@ -358,7 +357,7 @@ class TestWeightedEpsLoss:
         eps = rng.standard_normal((2, 2))
         eps_hat = rng.standard_normal((2, 2))
         regions = TransitionRegionSet(regions=((1, 2),), window=1, total_frames=2)
-        w = weight_map(regions, 2, 2.0)
+        w = weight_map(regions, 2, 2.0).data
         _, grad = diffusion.weighted_eps_loss(eps, eps_hat, w)
         h = 1e-6
         for i in range(2):
@@ -379,7 +378,7 @@ class TestWeightedEpsLoss:
         regions = TransitionRegionSet(regions=((0, 2),), window=2, total_frames=4)
         ratios = []
         for lam in (1.0, 2.0, 4.0):
-            w = weight_map(regions, 2, lam)
+            w = weight_map(regions, 2, lam).data
             _, grad = diffusion.weighted_eps_loss(eps, eps_hat, w)
             inside = np.abs(grad[:, :2]).sum()
             outside = np.abs(grad[:, 2:]).sum()

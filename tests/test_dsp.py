@@ -550,3 +550,14 @@ class TestMelsFormat:
         path.write_bytes(b"nope")
         with pytest.raises(ValueError):
             dsp.read_mels(path)
+
+    @pytest.mark.parametrize("header_T, extra", [(6, b""), (8, b""), (7, b"\0"), (7, b"\0" * 4)])
+    def test_rejects_payload_not_matching_header(self, tmp_path, header_T, extra):
+        # a smaller T would read the rows misaligned, a larger one past the end
+        path = tmp_path / "x.mels"
+        dsp.write_mels(path, dsp.MelSpectrogram(data=np.ones((5, 7)), n_mels=5, hop=128))
+        raw = bytearray(path.read_bytes() + extra)
+        raw[12:16] = header_T.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="MELS payload of"):
+            dsp.read_mels(path)

@@ -220,7 +220,7 @@ def ref_train(config, dataset):
             x_t = diffusion.q_sample(item.gt, t, noise, schedule)
             ref_mel = item.ref_norm.data if config.reference else None
             eps_hat, tr = ref_forward(params, x_t, t, item.cond, ref_mel)
-            loss, loss_grad = diffusion.weighted_eps_loss(noise, eps_hat, item.weights)
+            loss, loss_grad = diffusion.weighted_eps_loss(noise, eps_hat, item.weights.data)
             grads = ref_backward(params, tr, loss_grad)
             for name in batch_grads:
                 batch_grads[name] += grads[name]

@@ -1,0 +1,60 @@
+"""The package's surface: every module-level name is read somewhere, and
+the diffusion core imports nothing else from the package."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def defined_names(tree: ast.Module):
+    """Module-level def, class and assignment names, dunders excepted."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def read_names(tree: ast.AST):
+    """Every name the code reads: loaded names, attributes, and strings
+    (a lookup by name, as ``getattr(module, "load_checkpoint")``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_module_level_name_is_read():
+    files = [p for d in (SRC / "refdiff", ROOT / "tests", ROOT / "bench") for p in sorted(d.glob("*.py"))]
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in files}
+    read = {name for tree in trees.values() for name in read_names(tree)}
+    dead = [
+        f"{p.stem}.{name}"
+        for p in sorted((SRC / "refdiff").glob("*.py"))
+        for name in defined_names(trees[p])
+        if name not in read
+    ]
+    assert dead == []
+
+
+def test_diffusion_and_denoiser_import_nothing_else_from_the_package():
+    probe = (
+        "import sys, refdiff.diffusion, refdiff.denoiser; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'refdiff')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC))
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["refdiff", "refdiff.denoiser", "refdiff.diffusion"]
