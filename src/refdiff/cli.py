@@ -44,24 +44,38 @@ def _check_writable(path: str) -> None:
         raise InputError(f"cannot write {path}: not a file in an existing directory")
 
 
+# What a reader raises on a file of the wrong shape: a missing key, a
+# value of the wrong JSON type, an integer field holding 1e999 (read as
+# inf), JSON nested past the recursion limit, or a size field too large
+# to allocate (a checkpoint's schedule length).
+_MALFORMED = (
+    OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError, MemoryError
+)
+
+
+def _read(what: str | None, path, load):
+    """``load(path)``, with what a reader raises on a missing or malformed
+    file turned into an input error: "<what> <path>: <reason>", or the
+    bare reason when ``what`` is None because the reason names the file."""
+    try:
+        return load(path)
+    except _MALFORMED as exc:
+        raise InputError(f"{what} {path}: {exc}" if what else str(exc)) from None
+
+
+def _json_file(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_spectrogram(path: str) -> dsp.MelSpectrogram:
     """Accept either a WAV file (converted with default settings) or MELS."""
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    with _read("cannot read", path, lambda p: open(p, "rb")) as fh:
+        magic = fh.read(4)
     if magic == dsp.MELS_MAGIC:
-        try:
-            return dsp.read_mels(path)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        return _read(None, path, dsp.read_mels)
     if magic == b"RIFF":
-        try:
-            audio = dsp.load_wav(path)
-            return dsp.mel_spectrogram(audio)
-        except dsp.WavError as exc:
-            raise InputError(str(exc)) from None
+        return _read(None, path, lambda p: dsp.mel_spectrogram(dsp.load_wav(p)))
     raise InputError(f"unrecognized input format: {path}")
 
 
@@ -116,17 +130,16 @@ def cmd_blur(args) -> int:
     mel = _load_spectrogram(args.input)
     kernel = dsp.gaussian_kernel(args.kernel_size, args.sigma)
     if args.regions:
-        try:
-            with open(args.regions, "r", encoding="utf-8") as fh:
-                report = json.load(fh)
-            region_list = [(int(s), int(e)) for s, e in report["regions"]]
-            regions = transition.TransitionRegionSet(
-                regions=tuple(region_list),
+
+        def load(path):
+            report = _json_file(path)
+            return transition.TransitionRegionSet(
+                regions=tuple((int(s), int(e)) for s, e in report["regions"]),
                 window=int(report["params"]["w"]),
                 total_frames=mel.n_frames,
             )
-        except _MALFORMED as exc:
-            raise InputError(f"bad region report {args.regions}: {exc}") from None
+
+        regions = _read("bad region report", args.regions, load)
     else:
         _, regions = transition.analyze(mel, _detector_config(mel, args))
     blurred = transition.blur_regions(mel, regions, kernel)
@@ -166,11 +179,7 @@ def cmd_gendata(args) -> int:
 def _load_config(path: str) -> trainer.TrainConfig:
     """A file that cannot be read as a JSON object is an input error; a
     bad value in it is a parameter error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from None
+    obj = _read("cannot read config", path, _json_file)
     if not isinstance(obj, dict):
         raise InputError(f"config {path} must be a JSON object")
     try:
@@ -181,7 +190,7 @@ def _load_config(path: str) -> trainer.TrainConfig:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    dataset = _load_manifest(args.manifest)
+    dataset = _read("cannot load dataset", args.manifest, synthgen.load_dataset)
     out_dir = _out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, args.name + ".rdck")
@@ -217,8 +226,8 @@ def _steps(args, ckpt: trainer.Checkpoint) -> int:
 
 
 def cmd_sample(args) -> int:
-    ckpt = _load_ckpt(args.checkpoint)
-    dataset = _load_manifest(args.manifest)
+    ckpt = _read("cannot load checkpoint", args.checkpoint, trainer.Checkpoint.load)
+    dataset = _read("cannot load dataset", args.manifest, synthgen.load_dataset)
     if not (0 <= args.index < len(dataset)):
         raise ParamError(f"index {args.index} outside dataset of {len(dataset)}")
     steps = _steps(args, ckpt)
@@ -243,8 +252,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = _load_ckpt(args.checkpoint)
-    dataset = _load_manifest(args.manifest)
+    ckpt = _read("cannot load checkpoint", args.checkpoint, trainer.Checkpoint.load)
+    dataset = _read("cannot load dataset", args.manifest, synthgen.load_dataset)
     steps = _steps(args, ckpt)
     metrics = trainer.evaluate(ckpt, dataset, steps, seed=args.seed)
     doc = {"steps": steps, "seed": args.seed, "metrics": metrics.to_json()}
@@ -263,8 +272,10 @@ def cmd_ablate(args) -> int:
         raise ParamError(f"steps must lie in 1..{config.schedule_T}")
     if args.out:
         _check_writable(args.out)
-    dataset = _load_manifest(args.manifest)
-    eval_dataset = _load_manifest(args.eval_manifest) if args.eval_manifest else None
+    dataset = _read("cannot load dataset", args.manifest, synthgen.load_dataset)
+    eval_dataset = None
+    if args.eval_manifest:
+        eval_dataset = _read("cannot load dataset", args.eval_manifest, synthgen.load_dataset)
     table = trainer.ablation_suite(
         config,
         dataset,
@@ -281,29 +292,6 @@ def cmd_ablate(args) -> int:
     ]
     _emit(table, args.json, "\n".join(lines))
     return EXIT_OK
-
-
-# What a reader raises on a file of the wrong shape: a missing key, a
-# value of the wrong JSON type, an integer field holding 1e999 (read as
-# inf), JSON nested past the recursion limit, or a size field too large
-# to allocate (a checkpoint's schedule length).
-_MALFORMED = (
-    OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError, MemoryError
-)
-
-
-def _load_manifest(path) -> synthgen.SynthDataset:
-    try:
-        return synthgen.load_dataset(path)
-    except _MALFORMED as exc:
-        raise InputError(f"cannot load dataset {path}: {exc}") from None
-
-
-def _load_ckpt(path) -> trainer.Checkpoint:
-    try:
-        return trainer.Checkpoint.load(path)
-    except _MALFORMED as exc:
-        raise InputError(f"cannot load checkpoint {path}: {exc}") from None
 
 
 @functools.cache

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +34,6 @@ class ScoreSpec:
     notes: tuple[tuple[float, int], ...]
     sample_rate: int = 44100
     hop: int = 128
-    frame: int = 512
     n_mels: int = 80
 
     def __post_init__(self):
@@ -54,25 +55,6 @@ class ScoreSpec:
         """Interior note-boundary frames (excludes 0 and total_frames)."""
         return list(itertools.accumulate(d for _, d in self.notes[:-1]))
 
-    def to_json(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "hop": self.hop,
-            "frame": self.frame,
-            "n_mels": self.n_mels,
-            "notes": [[p, d] for p, d in self.notes],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ScoreSpec":
-        return ScoreSpec(
-            notes=tuple((p, d) for p, d in obj["notes"]),
-            sample_rate=int(obj["sample_rate"]),
-            hop=int(obj["hop"]),
-            frame=int(obj["frame"]),
-            n_mels=int(obj["n_mels"]),
-        )
-
 
 @dataclass
 class SynthSample:
@@ -80,30 +62,50 @@ class SynthSample:
 
     gt_mel is log-compressed and normalized to [-1, 1] with the
     dataset-level statistics; ref_mel stays in the linear domain so the
-    detector and blur can run on it downstream.
+    detector and blur can run on it downstream.  The condition matrix
+    and the oracle regions (``region_window`` frames per boundary) are
+    derived from the score, so they cannot disagree with it.
     """
 
     gt_mel: MelSpectrogram
     ref_mel: MelSpectrogram
-    cond: np.ndarray
-    true_regions: TransitionRegionSet
     score: ScoreSpec
+    region_window: InitVar[int]
+    cond: np.ndarray = field(init=False)
+    true_regions: TransitionRegionSet = field(init=False)
 
-    def __post_init__(self):
-        T = self.score.total_frames
-        if self.gt_mel.n_frames != T or self.ref_mel.n_frames != T:
-            raise ValueError("spectrogram frame counts must match the score")
-        if self.cond.ndim != 2 or self.cond.shape[1] != T:
-            raise ValueError("cond must be a matrix whose frame count matches the score")
-        if self.true_regions.total_frames != T:
-            raise ValueError("region frame count must match the score")
+    def __post_init__(self, region_window: int):
+        shape = (self.score.n_mels, self.score.total_frames)
+        if self.gt_mel.data.shape != shape or self.ref_mel.data.shape != shape:
+            raise ValueError(
+                f"gt and ref must be n_mels x T = {shape} like their score, "
+                f"got {self.gt_mel.data.shape} and {self.ref_mel.data.shape}"
+            )
+        self.cond = score_condition(self.score)
+        self.true_regions = true_transition_regions(self.score, region_window)
+
+
+def check_field_types(config) -> None:
+    """Raise TypeError unless every field of the dataclass ``config`` holds
+    a value of its default's kind: a bool, an integer that is not a bool,
+    or a finite number."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if type(f.default) is bool:
+            ok, kind = isinstance(value, bool), "true or false"
+        elif type(f.default) is int:
+            ok, kind = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+        else:
+            ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+            kind = "a finite number"
+        if not ok:
+            raise TypeError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
     sample_rate: int = 44100
     hop: int = 128
-    frame: int = 512
     n_mels: int = 80
     notes_min: int = 3
     notes_max: int = 8
@@ -115,12 +117,12 @@ class DatasetConfig:
     region_window: int = 8
     log_floor: float = 1e-5
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+    def __post_init__(self):
+        check_field_types(self)
 
-    @staticmethod
-    def from_json(obj: dict) -> "DatasetConfig":
-        return DatasetConfig(**obj)
+    def score(self, notes) -> ScoreSpec:
+        """A score of ``notes`` framed as every item of the dataset is."""
+        return ScoreSpec(notes=notes, sample_rate=self.sample_rate, hop=self.hop, n_mels=self.n_mels)
 
 
 @dataclass
@@ -288,13 +290,7 @@ def random_score(rng: np.random.Generator, cfg: DatasetConfig) -> ScoreSpec:
         pitch = cfg.pitch_lo * 2.0 ** (semi / 12.0)
         dur = int(rng.integers(cfg.dur_min, cfg.dur_max + 1))
         notes.append((pitch, dur))
-    return ScoreSpec(
-        notes=tuple(notes),
-        sample_rate=cfg.sample_rate,
-        hop=cfg.hop,
-        frame=cfg.frame,
-        n_mels=cfg.n_mels,
-    )
+    return cfg.score(notes)
 
 
 def make_dataset(n: int, seed: int, cfg: DatasetConfig = DatasetConfig()) -> SynthDataset:
@@ -324,92 +320,72 @@ def make_dataset(n: int, seed: int, cfg: DatasetConfig = DatasetConfig()) -> Syn
     log_mels = [log_compress(gt, cfg.log_floor) for _, gt, _ in raw]
     lo = min(float(m.data.min()) for m in log_mels)
     hi = max(float(m.data.max()) for m in log_mels)
-    samples = []
-    for (score, _, ref_linear), log_mel in zip(raw, log_mels):
-        samples.append(
-            SynthSample(
-                gt_mel=normalize_log_mel(log_mel, lo, hi),
-                ref_mel=ref_linear,
-                cond=score_condition(score),
-                true_regions=true_transition_regions(score, cfg.region_window),
-                score=score,
-            )
-        )
+    samples = [
+        SynthSample(normalize_log_mel(log_mel, lo, hi), ref_linear, score, cfg.region_window)
+        for (score, _, ref_linear), log_mel in zip(raw, log_mels)
+    ]
     return SynthDataset(samples=samples, norm_lo=lo, norm_hi=hi, cfg=cfg, seed=seed)
 
 
-# --- dataset manifest (JSON lines, one record per sample) ----------------
+# --- dataset manifest (JSON lines: a header, then one record per sample) ---
+
+MANIFEST_VERSION = 2
 
 
 def write_dataset(dataset: SynthDataset, out_dir) -> str:
-    """Write MELS files plus manifest.jsonl; returns the manifest path."""
+    """Write MELS files plus manifest.jsonl; returns the manifest path.
+
+    Line 1 holds what the items share: the manifest version, the
+    normalization stats, the dataset config and seed.  Each further line
+    names one item's gt and ref MELS files and gives its notes; the rest
+    of the item is derived from them on load.
+    """
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
+    lines = [
+        {
+            "manifest": MANIFEST_VERSION,
+            "norm": {"lo": dataset.norm_lo, "hi": dataset.norm_hi},
+            "config": asdict(dataset.cfg),
+            "dataset_seed": dataset.seed,
+        }
+    ]
+    for i, sample in enumerate(dataset.samples):
+        gt_name, ref_name = f"gt_{i:04d}.mels", f"ref_{i:04d}.mels"
+        write_mels(os.path.join(out_dir, gt_name), sample.gt_mel)
+        write_mels(os.path.join(out_dir, ref_name), sample.ref_mel)
+        lines.append({"gt": gt_name, "ref": ref_name, "notes": sample.score.notes})
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        for i, sample in enumerate(dataset.samples):
-            gt_name = f"gt_{i:04d}.mels"
-            ref_name = f"ref_{i:04d}.mels"
-            write_mels(os.path.join(out_dir, gt_name), sample.gt_mel)
-            write_mels(os.path.join(out_dir, ref_name), sample.ref_mel)
-            record = {
-                "index": i,
-                "gt": gt_name,
-                "ref": ref_name,
-                "score": sample.score.to_json(),
-                "regions": [[s, e] for s, e in sample.true_regions.regions],
-                "region_window": sample.true_regions.window,
-                "cond": sample.cond.tolist(),
-                "norm": {"lo": dataset.norm_lo, "hi": dataset.norm_hi},
-                "dataset_seed": dataset.seed,
-                "config": dataset.cfg.to_json(),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.writelines(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     return manifest_path
 
 
 def load_dataset(manifest_path) -> SynthDataset:
+    """Read a manifest written by write_dataset, rebuilding each item's
+    score from its notes and the header's config."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-    samples = []
-    norm = None
-    cfg = None
-    seed = 0
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            shared = (rec["norm"], rec.get("config"), int(rec.get("dataset_seed", 0)))
-            if samples and shared != (norm, cfg, seed):
-                raise ValueError(
-                    f"mixed manifest {manifest_path}: record {len(samples) + 1} differs from "
-                    "the records before it in norm, config or dataset_seed"
-                )
-            norm, cfg, seed = shared
-            score = ScoreSpec.from_json(rec["score"])
-            regions = TransitionRegionSet(
-                regions=tuple((s, e) for s, e in rec["regions"]),
-                window=int(rec.get("region_window", 8)),
-                total_frames=score.total_frames,
-            )
-            samples.append(
-                SynthSample(
-                    gt_mel=read_mels(os.path.join(base, rec["gt"])),
-                    ref_mel=read_mels(os.path.join(base, rec["ref"])),
-                    cond=np.asarray(rec["cond"], dtype=np.float64),
-                    true_regions=regions,
-                    score=score,
-                )
-            )
+        lines = [json.loads(line) for line in fh if line.strip()]
+    header = lines[0] if lines else None
+    if not isinstance(header, dict) or header.get("manifest") != MANIFEST_VERSION:
+        raise ValueError(
+            f"line 1 is not a version-{MANIFEST_VERSION} manifest header; regenerate it with gendata"
+        )
+    norm_lo, norm_hi = float(header["norm"]["lo"]), float(header["norm"]["hi"])
+    if not -np.inf < norm_lo < norm_hi < np.inf:
+        raise ValueError(f"manifest norm must be finite with lo < hi, got {header['norm']}")
+    cfg = DatasetConfig(**header["config"])
+    samples = [
+        SynthSample(
+            read_mels(os.path.join(base, rec["gt"])),
+            read_mels(os.path.join(base, rec["ref"])),
+            cfg.score(rec["notes"]),
+            cfg.region_window,
+        )
+        for rec in lines[1:]
+    ]
     if not samples:
         raise ValueError(f"empty manifest: {manifest_path}")
-    norm_lo, norm_hi = float(norm["lo"]), float(norm["hi"])
-    if not -np.inf < norm_lo < norm_hi < np.inf:
-        raise ValueError(f"manifest norm must be finite with lo < hi, got {norm}")
     return SynthDataset(
-        samples=samples,
-        norm_lo=norm_lo,
-        norm_hi=norm_hi,
-        cfg=DatasetConfig.from_json(cfg) if cfg else DatasetConfig(),
-        seed=seed,
+        samples=samples, norm_lo=norm_lo, norm_hi=norm_hi, cfg=cfg, seed=int(header["dataset_seed"])
     )

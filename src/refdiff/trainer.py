@@ -16,16 +16,14 @@ into transition-region and non-region entries using the oracle regions.
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import denoiser as dn
 from .diffusion import NoiseSchedule, make_schedule, q_sample, sample, weighted_eps_loss
 from .dsp import MelSpectrogram, gaussian_kernel, log_compress
-from .synthgen import SynthDataset, SynthSample, denormalize_log_mel, normalize_log_mel
+from .synthgen import SynthDataset, SynthSample, check_field_types, denormalize_log_mel, normalize_log_mel
 from .transition import TransitionRegionSet, WeightMap, analyze, blur_regions, weight_map
 
 
@@ -58,17 +56,7 @@ class TrainConfig:
     log_floor: float = 1e-5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is bool:
-                ok, kind = isinstance(value, bool), "true or false"
-            elif type(f.default) is int:
-                ok, kind = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
-            else:
-                ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-                kind = "a finite number"
-            if not ok:
-                raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+        check_field_types(self)
         if self.learning_rate <= 0 or self.batch_size < 1 or self.total_steps < 1:
             raise ValueError("learning rate, batch size and step count must be positive")
         if self.lambda_in < 1.0:

@@ -461,15 +461,40 @@ class TestBlurRegionReportShape:
 
 class TestManifestIntegerOverflow:
     def test_region_window_1e999_exit2(self, dataset_dir, tmp_path, capsys):
-        record = json.loads((dataset_dir / "manifest.jsonl").read_text().splitlines()[0])
-        record["region_window"] = float("inf")  # json.dumps writes Infinity
+        header, *records = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        header = json.loads(header)
+        header["config"]["region_window"] = float("inf")  # json.dumps writes Infinity
         bad = dataset_dir / "overflow.jsonl"  # beside the MELS files it names
-        bad.write_text(json.dumps(record).replace("Infinity", "1e999") + "\n")
+        bad.write_text("\n".join([json.dumps(header).replace("Infinity", "1e999"), *records]) + "\n")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
         code, out, err = run_cli(capsys, "train", str(cfg), str(bad))
         assert_one_line_input_error(code, out, err)
-        assert "infinity" in err
+        assert "region_window" in err
+
+
+class TestManifestVersion:
+    def test_version_1_manifest_exit2(self, dataset_dir, trained, capsys):
+        # the per-record layout of version 1, which embedded every
+        # annotation and repeated the shared fields on each line
+        notes = [[220.0, 20], [440.0, 20]]
+        score = {"frame": 512, "hop": 128, "n_mels": 80, "notes": notes, "sample_rate": 44100}
+        record = {
+            "index": 0,
+            "gt": "gt_0000.mels",
+            "ref": "ref_0000.mels",
+            "score": score,
+            "regions": [[16, 24]],
+            "region_window": 8,
+            "cond": [[-1.0] * 20 + [1.0] * 20, [1.0] * 40],
+            "norm": {"lo": -11.5, "hi": 0.5},
+            "dataset_seed": 1,
+        }
+        old = dataset_dir / "v1.jsonl"  # beside the MELS files it names
+        old.write_text(json.dumps(record, sort_keys=True) + "\n")
+        code, out, err = run_cli(capsys, "eval", str(trained[0]), str(old), "--steps", "2")
+        assert_one_line_input_error(code, out, err)
+        assert "gendata" in err
 
 
 class TestManifestNorm:
@@ -510,10 +535,11 @@ class TestGendata:
     def test_manifest_schema(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "gendata", "--n", "2", "--seed", "0", "--out", str(tmp_path))
         assert code == 0
-        schema = load_schema("manifest_record.schema.json")
-        with open(tmp_path / "manifest.jsonl") as fh:
-            for line in fh:
-                jsonschema.validate(json.loads(line), schema)
+        header, *records = (tmp_path / "manifest.jsonl").read_text().splitlines()
+        jsonschema.validate(json.loads(header), load_schema("manifest_header.schema.json"))
+        assert len(records) == 2
+        for record in records:
+            jsonschema.validate(json.loads(record), load_schema("manifest_record.schema.json"))
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REFDIFF_OUT_DIR", str(tmp_path / "env_out"))
@@ -561,14 +587,18 @@ class TestTrainCmd:
         assert len(err.strip().splitlines()) == 1 and field in err
 
     def test_mixed_manifest_exit2(self, dataset_dir, tmp_path, capsys):
-        records = (dataset_dir / "manifest.jsonl").read_text().splitlines()
-        other = json.loads(records[1])
-        other["dataset_seed"] += 1
+        # a record whose ref has 40 mel bins where its score, and its gt,
+        # have 80: input, not a parameter error
+        header, record, *_ = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        ref = dsp.read_mels(dataset_dir / "ref_0000.mels")
+        dsp.write_mels(dataset_dir / "ref40.mels", dataclasses.replace(ref, data=ref.data[:40], n_mels=40))
         mixed = dataset_dir / "mixed.jsonl"
-        mixed.write_text("\n".join([records[0], json.dumps(other)]) + "\n")
+        mixed.write_text("\n".join([header, json.dumps({**json.loads(record), "ref": "ref40.mels"})]) + "\n")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
-        assert_one_line_input_error(*run_cli(capsys, "train", str(cfg), str(mixed)))
+        code, out, err = run_cli(capsys, "train", str(cfg), str(mixed))
+        assert_one_line_input_error(code, out, err)
+        assert "(80, " in err and "(40, " in err
 
 
 class TestSampleCmd:
