@@ -217,17 +217,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_mel_bins(path_a: str, bins_a: int, path_b: str, bins_b: int) -> None:
+    if bins_a != bins_b:
+        raise InputError(f"{path_a} has {bins_a} mel bins but {path_b} has {bins_b}")
+
+
 def _steps(args, ckpt: trainer.Checkpoint) -> int:
-    """``--steps``, by default the checkpoint's full chain, checked against it."""
-    steps = ckpt.schedule.T if args.steps is None else args.steps
-    if not (1 <= steps <= ckpt.schedule.T):
-        raise ParamError(f"steps must lie in 1..{ckpt.schedule.T}")
-    return steps
+    """``--steps``, by default the checkpoint's full chain; the sampler checks its range."""
+    return ckpt.schedule.T if args.steps is None else args.steps
 
 
 def cmd_sample(args) -> int:
     ckpt = _read("cannot load checkpoint", args.checkpoint, trainer.Checkpoint.load)
     dataset = _read("cannot load dataset", args.manifest, synthgen.load_dataset)
+    _check_mel_bins(args.checkpoint, ckpt.params.n_mels, args.manifest, dataset.cfg.n_mels)
     if not (0 <= args.index < len(dataset)):
         raise ParamError(f"index {args.index} outside dataset of {len(dataset)}")
     steps = _steps(args, ckpt)
@@ -254,6 +257,7 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = _read("cannot load checkpoint", args.checkpoint, trainer.Checkpoint.load)
     dataset = _read("cannot load dataset", args.manifest, synthgen.load_dataset)
+    _check_mel_bins(args.checkpoint, ckpt.params.n_mels, args.manifest, dataset.cfg.n_mels)
     steps = _steps(args, ckpt)
     metrics = trainer.evaluate(ckpt, dataset, steps, seed=args.seed)
     doc = {"steps": steps, "seed": args.seed, "metrics": metrics.to_json()}
@@ -276,6 +280,7 @@ def cmd_ablate(args) -> int:
     eval_dataset = None
     if args.eval_manifest:
         eval_dataset = _read("cannot load dataset", args.eval_manifest, synthgen.load_dataset)
+        _check_mel_bins(args.manifest, dataset.cfg.n_mels, args.eval_manifest, eval_dataset.cfg.n_mels)
     table = trainer.ablation_suite(
         config,
         dataset,

@@ -29,36 +29,13 @@ class NoiseSchedule:
     """Per-step noise variances and their running products."""
 
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
     T: int
     beta_min: float
     beta_max: float
-    kind: str = "linear"
-
-    def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=np.float64)
-        alphas = np.asarray(self.alphas, dtype=np.float64)
-        alpha_bars = np.asarray(self.alpha_bars, dtype=np.float64)
-        for name, arr in (("betas", betas), ("alphas", alphas), ("alpha_bars", alpha_bars)):
-            if arr.shape != (self.T,):
-                raise ValueError(f"{name} must have length T")
-            object.__setattr__(self, name, arr)
-        if betas.min() <= 0.0 or betas.max() >= 1.0:
-            raise ValueError("betas must lie in (0, 1)")
-        if np.any(np.diff(alpha_bars) >= 0.0):
-            raise ValueError("alpha_bars must be strictly decreasing")
-        if alpha_bars[-1] <= 0.0:
-            raise ValueError("alpha_bars must stay positive")
 
     def to_json(self) -> dict:
-        return {"T": self.T, "beta_min": self.beta_min, "beta_max": self.beta_max, "kind": self.kind}
-
-    @staticmethod
-    def from_json(obj: dict) -> "NoiseSchedule":
-        if obj.get("kind", "linear") != "linear":
-            raise ValueError(f"unknown schedule kind: {obj.get('kind')}")
-        return make_schedule(int(obj["T"]), float(obj["beta_min"]), float(obj["beta_max"]))
+        return {"T": self.T, "beta_min": self.beta_min, "beta_max": self.beta_max}
 
 
 def make_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.06) -> NoiseSchedule:
@@ -72,11 +49,12 @@ def make_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.06) -> Noi
     else:
         steps = np.arange(T, dtype=np.float64)
         betas = beta_min + steps / (T - 1) * (beta_max - beta_min)
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
+    alpha_bars = np.cumprod(1.0 - betas)
+    # the bounds keep betas in (0, 1); betas below float resolution or a long chain still fail here
+    if np.any(np.diff(alpha_bars) >= 0.0) or alpha_bars[-1] <= 0.0:
+        raise ValueError("alpha_bars must fall strictly and stay positive")
     return NoiseSchedule(
         betas=betas,
-        alphas=alphas,
         alpha_bars=alpha_bars,
         T=T,
         beta_min=beta_min,

@@ -92,30 +92,6 @@ class MelSpectrogram:
 
 
 @dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular mel filterbank mapping FFT magnitude bins to mel bands."""
-
-    weights: np.ndarray
-    center_freqs: np.ndarray
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        centers = np.asarray(self.center_freqs, dtype=np.float64)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "center_freqs", centers)
-        if weights.ndim != 2 or centers.ndim != 1:
-            raise ValueError("weights must be 2-D and center_freqs 1-D")
-        if weights.shape[0] != centers.size:
-            raise ValueError("one center frequency per filter row required")
-        if weights.min() < 0.0:
-            raise ValueError("filter weights must be non-negative")
-        if np.any(weights.sum(axis=1) == 0.0):
-            raise ValueError("every filter row needs at least one nonzero entry")
-        if np.any(np.diff(centers) <= 0.0):
-            raise ValueError("center frequencies must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class GaussianKernel:
     """Odd-length normalized Gaussian taps for separable blurring."""
 
@@ -317,8 +293,9 @@ def mel_filterbank(
     n_mels: int = 80,
     fmin: float = 0.0,
     fmax: float | None = None,
-) -> MelFilterbank:
-    """Triangular filters with mel-spaced centers over [fmin, fmax].
+) -> np.ndarray:
+    """Triangular filters with mel-spaced centers over [fmin, fmax], as an
+    n_mels x n_fft_bins weight matrix.
 
     Triangles are evaluated in fractional-FFT-bin space with a minimum
     half-width of one bin, so every filter keeps support even where the
@@ -341,21 +318,20 @@ def mel_filterbank(
     hi = np.maximum(edges_bin[2:, None], center + 1.0)
     rising = (bins - lo) / (center - lo)
     falling = (hi - bins) / (hi - center)
-    weights = np.clip(np.minimum(rising, falling), 0.0, None)
-    return MelFilterbank(weights=weights, center_freqs=edges_hz[1:-1])
+    return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
 def mel_spectrogram(audio: AudioBuffer, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
     """Linear-domain mel spectrogram: filterbank applied to STFT magnitudes."""
     mags = stft_magnitude(audio, frame=cfg.frame, hop=cfg.hop, window=cfg.window)
-    fb = mel_filterbank(
+    weights = mel_filterbank(
         audio.sample_rate,
         n_fft_bins=mags.shape[0],
         n_mels=cfg.n_mels,
         fmin=cfg.fmin,
         fmax=cfg.fmax,
     )
-    return MelSpectrogram(data=fb.weights @ mags, n_mels=cfg.n_mels, hop=cfg.hop, is_log=False)
+    return MelSpectrogram(data=weights @ mags, n_mels=cfg.n_mels, hop=cfg.hop, is_log=False)
 
 
 def log_compress(mel: MelSpectrogram, floor: float = 1e-5) -> MelSpectrogram:

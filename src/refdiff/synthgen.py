@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import InitVar, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -37,15 +37,14 @@ class ScoreSpec:
     n_mels: int = 80
 
     def __post_init__(self):
-        notes = tuple((float(p), int(d)) for p, d in self.notes)
-        object.__setattr__(self, "notes", notes)
-        if not notes:
+        if not self.notes:
             raise ValueError("score needs at least one note")
-        for pitch, dur in notes:
-            if not (80.0 <= pitch <= 1000.0):
-                raise ValueError(f"pitch {pitch} outside [80, 1000] Hz")
-            if dur < 4:
-                raise ValueError("note durations must be >= 4 frames")
+        for pitch, dur in self.notes:
+            if isinstance(pitch, bool) or not (isinstance(pitch, numbers.Real) and 80.0 <= pitch <= 1000.0):
+                raise ValueError(f"pitch {pitch!r} must be a number in [80, 1000] Hz")
+            if isinstance(dur, bool) or not (isinstance(dur, numbers.Integral) and dur >= 4):
+                raise ValueError(f"note duration {dur!r} must be an integer >= 4 frames")
+        object.__setattr__(self, "notes", tuple((float(p), int(d)) for p, d in self.notes))
 
     @property
     def total_frames(self) -> int:
@@ -60,21 +59,22 @@ class ScoreSpec:
 class SynthSample:
     """One training example with oracle annotations.
 
-    gt_mel is log-compressed and normalized to [-1, 1] with the
-    dataset-level statistics; ref_mel stays in the linear domain so the
-    detector and blur can run on it downstream.  The condition matrix
-    and the oracle regions (``region_window`` frames per boundary) are
-    derived from the score, so they cannot disagree with it.
+    gt_mel is log-compressed at ``cfg.log_floor`` and normalized to
+    [-1, 1] with the dataset-level statistics; ref_mel stays in the
+    linear domain for the detector and blur, and is log-compressed at
+    the same floor later.  The condition matrix and the oracle regions
+    (``cfg.region_window`` frames per boundary) are derived from the
+    score, so they cannot disagree with it.
     """
 
     gt_mel: MelSpectrogram
     ref_mel: MelSpectrogram
     score: ScoreSpec
-    region_window: InitVar[int]
+    cfg: "DatasetConfig"
     cond: np.ndarray = field(init=False)
     true_regions: TransitionRegionSet = field(init=False)
 
-    def __post_init__(self, region_window: int):
+    def __post_init__(self):
         shape = (self.score.n_mels, self.score.total_frames)
         if self.gt_mel.data.shape != shape or self.ref_mel.data.shape != shape:
             raise ValueError(
@@ -82,7 +82,7 @@ class SynthSample:
                 f"got {self.gt_mel.data.shape} and {self.ref_mel.data.shape}"
             )
         self.cond = score_condition(self.score)
-        self.true_regions = true_transition_regions(self.score, region_window)
+        self.true_regions = true_transition_regions(self.score, self.cfg.region_window)
 
 
 def check_field_types(config) -> None:
@@ -321,7 +321,7 @@ def make_dataset(n: int, seed: int, cfg: DatasetConfig = DatasetConfig()) -> Syn
     lo = min(float(m.data.min()) for m in log_mels)
     hi = max(float(m.data.max()) for m in log_mels)
     samples = [
-        SynthSample(normalize_log_mel(log_mel, lo, hi), ref_linear, score, cfg.region_window)
+        SynthSample(normalize_log_mel(log_mel, lo, hi), ref_linear, score, cfg)
         for (score, _, ref_linear), log_mel in zip(raw, log_mels)
     ]
     return SynthDataset(samples=samples, norm_lo=lo, norm_hi=hi, cfg=cfg, seed=seed)
@@ -380,7 +380,7 @@ def load_dataset(manifest_path) -> SynthDataset:
             read_mels(os.path.join(base, rec["gt"])),
             read_mels(os.path.join(base, rec["ref"])),
             cfg.score(rec["notes"]),
-            cfg.region_window,
+            cfg,
         )
         for rec in lines[1:]
     ]

@@ -53,7 +53,6 @@ class TrainConfig:
     depth: int = 4
     step_dim: int = 32
     kernel: int = 3
-    log_floor: float = 1e-5
 
     def __post_init__(self):
         check_field_types(self)
@@ -81,7 +80,6 @@ class Checkpoint:
 
     def save(self, path) -> None:
         header = {
-            "schedule": self.schedule.to_json(),
             "norm": {"lo": self.norm_lo, "hi": self.norm_hi},
             "config": self.config.to_json(),
         }
@@ -93,12 +91,13 @@ class Checkpoint:
         lo, hi = float(header["norm"]["lo"]), float(header["norm"]["hi"])
         if not -np.inf < lo < hi < np.inf:
             raise ValueError(f"checkpoint norm must be finite with lo < hi, got {header['norm']}")
+        config = TrainConfig.from_json(header["config"])  # the file stores no schedule
         return Checkpoint(
             params=params,
-            schedule=NoiseSchedule.from_json(header["schedule"]),
+            schedule=make_schedule(config.schedule_T, config.beta_min, config.beta_max),
             norm_lo=lo,
             norm_hi=hi,
-            config=TrainConfig.from_json(header["config"]),
+            config=config,
         )
 
 
@@ -138,12 +137,12 @@ def prepare_reference(
     blur: bool,
     norm_lo: float,
     norm_hi: float,
-    log_floor: float = 1e-5,
+    log_floor: float,
 ) -> tuple[MelSpectrogram, TransitionRegionSet]:
-    """Detect regions on the linear reference, log-compress it, optionally
-    blur the regions with ``gaussian_kernel()`` (5 taps, sigma 1, as
-    ``refdiff blur`` by default), then normalize into the domain the
-    denoiser reads.
+    """Detect regions on the linear reference, log-compress it at its
+    dataset's ``log_floor``, optionally blur the regions with
+    ``gaussian_kernel()`` (5 taps, sigma 1, as ``refdiff blur`` by
+    default), then normalize into the domain the denoiser reads.
 
     The blur runs on log values: in the linear domain it would fill the
     harmonic valleys near the log floor, which the log map turns into
@@ -162,7 +161,7 @@ def prepare_sample(
     norm_lo: float,
     norm_hi: float,
 ) -> PreparedSample:
-    ref_norm, regions = prepare_reference(sample_.ref_mel, cfg.blur, norm_lo, norm_hi, cfg.log_floor)
+    ref_norm, regions = prepare_reference(sample_.ref_mel, cfg.blur, norm_lo, norm_hi, sample_.cfg.log_floor)
     lam = cfg.lambda_in if cfg.weighting else 1.0
     weights = weight_map(regions, sample_.gt_mel.n_mels, lam)
     return PreparedSample(gt=sample_.gt_mel.data, ref_norm=ref_norm, cond=sample_.cond, weights=weights)
@@ -222,10 +221,9 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
         raise ValueError("dataset must be non-empty")
     schedule = make_schedule(config.schedule_T, config.beta_min, config.beta_max)
     prepared = [prepare_sample(s, config, dataset.norm_lo, dataset.norm_hi) for s in dataset]
-    n_mels = dataset[0].gt_mel.n_mels
     cond_dim = dataset[0].cond.shape[0]
     params = dn.init_params(
-        n_mels=n_mels,
+        n_mels=dataset.cfg.n_mels,
         hidden=config.hidden,
         depth=config.depth,
         cond_dim=cond_dim,
@@ -319,8 +317,6 @@ def evaluate(ckpt: Checkpoint, dataset: SynthDataset, steps: int, seed: int = 0)
     ``seed + i``, and compared with ``gt_in_checkpoint_norm``, so
     held-out datasets are scored in the domain the model samples in.
     """
-    if steps > ckpt.schedule.T:
-        raise ValueError(f"steps {steps} exceeds schedule length {ckpt.schedule.T}")
     sq_region = 0.0
     sq_nonregion = 0.0
     n_region = 0

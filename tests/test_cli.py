@@ -497,6 +497,58 @@ class TestManifestVersion:
         assert "gendata" in err
 
 
+class TestManifestNoteTypes:
+    """A note's duration must be an integer and its pitch a number: a
+    duration of 24.5 is not read as 24, nor a pitch "440.0" as 440.0."""
+
+    @pytest.mark.parametrize("field", ["duration", "pitch"])
+    def test_eval_exit2(self, trained, dataset_dir, capsys, field):
+        header, record, *records = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        record = json.loads(record)
+        pitch, dur = record["notes"][0]
+        record["notes"][0] = [pitch, dur + 0.5] if field == "duration" else [str(pitch), dur]
+        bad = dataset_dir / f"bad_{field}.jsonl"  # beside the MELS files it names
+        bad.write_text("\n".join([header, json.dumps(record), *records]) + "\n")
+        code, out, err = run_cli(capsys, "eval", str(trained[0]), str(bad), "--steps", "2")
+        assert_one_line_input_error(code, out, err)
+        assert field in err
+
+
+class TestMelBinMismatch:
+    """A checkpoint and a manifest, or a training and an evaluation
+    manifest, that disagree on the mel-bin count are an input error
+    naming both files."""
+
+    @pytest.fixture(scope="class")
+    def manifest_40(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("data40")
+        return synthgen.write_dataset(synthgen.make_dataset(2, 1, synthgen.DatasetConfig(n_mels=40)), out)
+
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_checkpoint_vs_manifest_exit2(self, trained, manifest_40, tmp_path, capsys, command):
+        argv = [command, str(trained[0]), manifest_40]
+        if command == "sample":
+            argv.append(str(tmp_path / "x.mels"))
+        code, out, err = run_cli(capsys, *argv, "--steps", "2")
+        assert_one_line_input_error(code, out, err)
+        assert str(trained[0]) in err and manifest_40 in err
+
+    def test_ablate_eval_manifest_exit2_before_training(
+        self, dataset_dir, manifest_40, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(trainer, "train", lambda *args: calls.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
+        manifest = str(dataset_dir / "manifest.jsonl")
+        code, out, err = run_cli(
+            capsys, "ablate", str(cfg_path), manifest, "--eval-manifest", manifest_40, "--steps", "2"
+        )
+        assert_one_line_input_error(code, out, err)
+        assert manifest in err and manifest_40 in err
+        assert calls == []
+
+
 class TestManifestNorm:
     @pytest.mark.parametrize(
         "norm", ['{"lo": 0, "hi": 1e999}', '{"lo": -1e999, "hi": 0}', '{"lo": 0, "hi": NaN}', '{"lo": 1, "hi": 1}']
@@ -576,7 +628,7 @@ class TestTrainCmd:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("log_floor", "x"), ("batch_size", 2.5), ("blur", "yes"), ("learning_rate", float("nan"))],
+        [("beta_min", "x"), ("batch_size", 2.5), ("blur", "yes"), ("learning_rate", float("nan"))],
     )
     def test_wrongly_typed_config_exit3(self, dataset_dir, tmp_path, capsys, field, value):
         bad = tmp_path / "bad.json"
@@ -712,10 +764,10 @@ class TestEvalCmd:
         assert "n_mels" in err
 
     def test_wrongly_typed_config_exit2(self, trained, dataset_dir, tmp_path, capsys):
-        blob = self._edit_header(trained[0].read_bytes(), lambda h: h["config"].update(log_floor="x"))
+        blob = self._edit_header(trained[0].read_bytes(), lambda h: h["config"].update(beta_min="x"))
         code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
         assert_one_line_input_error(code, out, err)
-        assert "log_floor" in err
+        assert "beta_min" in err
 
     @pytest.mark.parametrize("norm", [{"lo": 0, "hi": math.inf}, {"lo": 0, "hi": math.nan}, {"lo": 1, "hi": 1}])
     def test_unusable_norm_exit2(self, trained, dataset_dir, tmp_path, capsys, norm):
@@ -843,7 +895,7 @@ class TestScheduleTooLarge:
 
     @pytest.mark.parametrize("command", ["eval", "sample"])
     def test_checkpoint_schedule_exit2(self, trained, dataset_dir, tmp_path, capsys, command):
-        blob = TestEvalCmd._edit_header(trained[0].read_bytes(), lambda h: h["schedule"].update(T=self.T))
+        blob = TestEvalCmd._edit_header(trained[0].read_bytes(), lambda h: h["config"].update(schedule_T=self.T))
         path = tmp_path / "huge.rdck"
         path.write_bytes(blob)
         argv = [command, str(path), str(dataset_dir / "manifest.jsonl")]
@@ -888,6 +940,30 @@ class TestOldConfigKeys:
     def test_checkpoint_header(self, trained, dataset_dir, tmp_path, capsys):
         old = tmp_path / "old.rdck"
         old.write_bytes(TestEvalCmd._edit_header(trained[0].read_bytes(), lambda h: h["config"].update(self.OLD)))
+        old_run, new_run = (
+            run_cli(capsys, "eval", str(path), str(dataset_dir / "manifest.jsonl"), "--steps", "10", "--json")
+            for path in (old, trained[0])
+        )
+        assert old_run[0] == 0
+        assert old_run == new_run
+
+
+class TestHeaderWithSchedule:
+    """A checkpoint whose header still stores the schedule beside the
+    config, and whose config still carries the reference's log floor,
+    loads as before: the schedule is rebuilt from the config, and the
+    reference takes its dataset's floor."""
+
+    def test_eval_unchanged(self, trained, dataset_dir, tmp_path, capsys):
+        def add_removed_keys(header):
+            cfg = header["config"]
+            header["schedule"] = {
+                "T": cfg["schedule_T"], "beta_min": cfg["beta_min"], "beta_max": cfg["beta_max"], "kind": "linear"
+            }
+            cfg["log_floor"] = 1e-5
+
+        old = tmp_path / "old.rdck"
+        old.write_bytes(TestEvalCmd._edit_header(trained[0].read_bytes(), add_removed_keys))
         old_run, new_run = (
             run_cli(capsys, "eval", str(path), str(dataset_dir / "manifest.jsonl"), "--steps", "10", "--json")
             for path in (old, trained[0])

@@ -1,11 +1,15 @@
-"""The package's surface: every module-level name is read somewhere, and
-the diffusion core imports nothing else from the package."""
+"""The package's surface: every module-level name is read somewhere, the
+diffusion core imports nothing else from the package, and no run fact
+is stored twice."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from refdiff import denoiser, diffusion, synthgen, trainer
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -58,3 +62,20 @@ def test_diffusion_and_denoiser_import_nothing_else_from_the_package():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["refdiff", "refdiff.denoiser", "refdiff.diffusion"]
+
+
+def test_train_and_dataset_configs_share_no_field():
+    # a setting held by both could disagree between them
+    train = {f.name for f in dataclasses.fields(trainer.TrainConfig)}
+    dataset = {f.name for f in dataclasses.fields(synthgen.DatasetConfig)}
+    assert train & dataset == set()
+
+
+def test_checkpoint_header_stores_no_schedule(tmp_path):
+    # the schedule is rebuilt from the config on load
+    config = trainer.TrainConfig(hidden=2, depth=1, step_dim=2, schedule_T=10)
+    params = denoiser.init_params(n_mels=2, hidden=2, depth=1, step_dim=2)
+    schedule = diffusion.make_schedule(config.schedule_T, config.beta_min, config.beta_max)
+    trainer.Checkpoint(params, schedule, -1.0, 1.0, config).save(tmp_path / "m.rdck")
+    _, header = denoiser.load_checkpoint(tmp_path / "m.rdck")
+    assert set(header) == {"arch", "config", "norm"}

@@ -119,7 +119,7 @@ class TestTrain:
         items = []
         for s in small_dataset:
             ref_norm = normalize_log_mel(
-                log_compress(s.ref_mel, cfg.log_floor), small_dataset.norm_lo, small_dataset.norm_hi
+                log_compress(s.ref_mel, s.cfg.log_floor), small_dataset.norm_lo, small_dataset.norm_hi
             )
             items.append((s.gt_mel.data, ref_norm, s.cond))
         params = dn.init_params(
@@ -187,19 +187,32 @@ class TestPrepareReference:
         for s in dataset:
             mask = s.true_regions.covers()
             for blur in sq:
-                ref, _ = trainer.prepare_reference(s.ref_mel, blur, dataset.norm_lo, dataset.norm_hi)
+                ref, _ = trainer.prepare_reference(
+                    s.ref_mel, blur, dataset.norm_lo, dataset.norm_hi, dataset.cfg.log_floor
+                )
                 sq[blur] += float(((ref.data - s.gt_mel.data)[:, mask] ** 2).sum())
         assert sq[True] <= sq[False]
 
     def test_blur_runs_on_log_values(self, small_dataset):
         s = small_dataset[0]
         lo, hi = small_dataset.norm_lo, small_dataset.norm_hi
-        got, regions = trainer.prepare_reference(s.ref_mel, True, lo, hi)
+        got, regions = trainer.prepare_reference(s.ref_mel, True, lo, hi, 1e-5)
         log_ref = dsp.log_compress(s.ref_mel, 1e-5)
         blurred = transition.blur_regions(log_ref, regions, dsp.gaussian_kernel())
         expected = synthgen.normalize_log_mel(blurred, lo, hi)
         assert regions.regions
         assert np.array_equal(got.data, expected.data)
+
+
+    def test_reference_takes_its_datasets_floor(self):
+        # the reference is log-compressed like its ground truth, whatever
+        # the training config
+        dataset = synthgen.make_dataset(4, 0, synthgen.DatasetConfig(log_floor=1e-3))
+        lo, hi = dataset.norm_lo, dataset.norm_hi
+        for s in dataset:
+            got = trainer.prepare_sample(s, tiny_train_config(blur=False), lo, hi)
+            want = synthgen.normalize_log_mel(dsp.log_compress(s.ref_mel, 1e-3), lo, hi)
+            assert got.ref_norm.data.tobytes() == want.data.tobytes()
 
 
 class TestEvaluate:
