@@ -3,9 +3,9 @@
 One binary with subcommands: analyze, blur, gendata, train, sample,
 eval, ablate.  Exit codes: 0 success, 2 input error, 3 parameter error,
 4 numerical failure.  ``--json`` modes emit exactly one JSON document
-on stdout; numeric defaults mirror the module defaults and are echoed
-in the JSON output.  The REFDIFF_OUT_DIR environment variable supplies
-the default output directory; everything else is explicit flags.
+on stdout; numeric defaults come from the modules' defaults and are
+echoed in the JSON output.  The REFDIFF_OUT_DIR environment variable
+supplies the default output directory; everything else is explicit flags.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_blur(args) -> int:
     mel = _load_spectrogram(args.input)
-    kernel = dsp.gaussian_kernel(args.kernel_size, args.sigma)
+    taps = dsp.gaussian_kernel(args.kernel_size, args.sigma)
     if args.regions:
 
         def load(path):
@@ -142,7 +142,7 @@ def cmd_blur(args) -> int:
         regions = _read("bad region report", args.regions, load)
     else:
         _, regions = transition.analyze(mel, _detector_config(mel, args))
-    blurred = transition.blur_regions(mel, regions, kernel)
+    blurred = transition.blur_regions(mel, regions, taps)
     dsp.write_mels(args.output, blurred)
     _emit(
         {
@@ -308,13 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reference-conditioned mel diffusion with transition-aware training",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    detector = transition.TransitionConfig
 
     p = sub.add_parser("analyze", help="detect pitch-transition regions")
     p.add_argument("input", help="WAV or MELS file")
-    p.add_argument("--k", type=int, default=9, help="smoothing kernel size")
-    p.add_argument("--w", type=int, default=8, help="region window size")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--region-weight", type=float, default=2.0)
+    p.add_argument("--k", type=int, default=detector.smooth_k, help="smoothing kernel size")
+    p.add_argument("--w", type=int, default=detector.window_w, help="region window size")
+    p.add_argument("--eps", type=float, default=detector.eps)
+    p.add_argument("--region-weight", type=float, default=trainer.TrainConfig.lambda_in)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
@@ -324,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regions", help="region report JSON (default: auto-detect)")
     p.add_argument("--kernel-size", type=int, default=5)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=9)
-    p.add_argument("--w", type=int, default=8)
+    p.add_argument("--k", type=int, default=detector.smooth_k)
+    p.add_argument("--w", type=int, default=detector.window_w)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_blur)
 

@@ -20,6 +20,7 @@ so gradient checks are tight and runs are bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -78,12 +79,13 @@ class DenoiserParams:
     step_b: np.ndarray  # (H,)
     cond_w: np.ndarray  # (H, D)
     cond_b: np.ndarray  # (H,)
+    flat: np.ndarray  # every array above is a view into this vector
 
     def named_arrays(self):
         """(name, array) pairs in fixed declaration order.
 
-        This order defines the checkpoint block layout and the gradient
-        dictionary keys; do not reorder.
+        This order is the order in which the arrays tile ``flat`` and
+        the checkpoint block layout; do not reorder.
         """
         for branch_name, branch in (("denoise", self.denoise), ("ref", self.ref)):
             yield f"{branch_name}.in_w", branch.in_w
@@ -108,40 +110,35 @@ class DenoiserParams:
         return {key: getattr(self, key) for key in ARCH_KEYS}
 
 
+def _shapes(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> list[tuple[int, ...]]:
+    """The stored shape of every array, in ``named_arrays`` order."""
+    # conv weights are stored (2H, K, H): the (2H, H, K) view of that is
+    # what _flatten_conv turns back into a view instead of a copy
+    branch = [(hidden, n_mels), (hidden,)] + [(2 * hidden, kernel, hidden), (2 * hidden,)] * depth
+    zero = [(hidden, hidden), (hidden,)] * depth
+    heads = [(n_mels, hidden), (n_mels,), (hidden, step_dim), (hidden,), (hidden, cond_dim), (hidden,)]
+    return branch + branch + zero + heads
+
+
 def _zero_params(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> DenoiserParams:
-    """Every array at zero, in the shapes the architecture sizes give them."""
+    """Every array at zero, as consecutive views into one flat vector."""
     if kernel % 2 == 0 or kernel < 1:
         raise ValueError("kernel must be a positive odd integer")
+    shapes = _shapes(n_mels, hidden, depth, cond_dim, step_dim, kernel)
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.zeros(sum(sizes))
+    views = (part.reshape(shape) for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
 
     def _branch() -> BranchParams:
-        # conv_w is a (2H, H, K) view of weights stored in (2H, K, H) order,
-        # so _flatten_conv returns a view instead of copying on every pass
-        blocks = [
-            BlockParams(
-                conv_w=np.zeros((2 * hidden, kernel, hidden)).transpose(0, 2, 1),
-                conv_b=np.zeros(2 * hidden),
-            )
-            for _ in range(depth)
-        ]
-        return BranchParams(in_w=np.zeros((hidden, n_mels)), in_b=np.zeros(hidden), blocks=blocks)
+        in_w, in_b = next(views), next(views)
+        blocks = [BlockParams(next(views).transpose(0, 2, 1), next(views)) for _ in range(depth)]
+        return BranchParams(in_w, in_b, blocks)
 
+    denoise, ref = _branch(), _branch()
+    zero = [next(views) for _ in range(2 * depth)]
+    # the six views left are out_w, out_b, step_w, step_b, cond_w and cond_b
     return DenoiserParams(
-        n_mels=n_mels,
-        hidden=hidden,
-        depth=depth,
-        cond_dim=cond_dim,
-        step_dim=step_dim,
-        kernel=kernel,
-        denoise=_branch(),
-        ref=_branch(),
-        zero_w=[np.zeros((hidden, hidden)) for _ in range(depth)],
-        zero_b=[np.zeros(hidden) for _ in range(depth)],
-        out_w=np.zeros((n_mels, hidden)),
-        out_b=np.zeros(n_mels),
-        step_w=np.zeros((hidden, step_dim)),
-        step_b=np.zeros(hidden),
-        cond_w=np.zeros((hidden, cond_dim)),
-        cond_b=np.zeros(hidden),
+        n_mels, hidden, depth, cond_dim, step_dim, kernel, denoise, ref, zero[0::2], zero[1::2], *views, flat=flat
     )
 
 
@@ -180,8 +177,9 @@ def randomize_params(params: DenoiserParams, seed: int, scale: float = 0.3) -> D
     return params
 
 
-def zero_grads(params: DenoiserParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+def zero_grads(params: DenoiserParams) -> DenoiserParams:
+    """A zero array for every parameter, in the same layout."""
+    return _zero_params(**params.arch())
 
 
 @dataclass
@@ -385,7 +383,7 @@ def denoiser_forward(
 
 
 def _block_backward(
-    d_h: np.ndarray, branch: _BranchTrace, i: int, grads: dict, name: str, d_c: np.ndarray
+    d_h: np.ndarray, branch: _BranchTrace, i: int, grads: BlockParams, d_c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward through block i of either branch, mirroring ``_run_branch``.
 
@@ -410,10 +408,7 @@ def _block_backward(
     d_b *= slope
     d_bias = d_a + d_b
     d_c += d_bias
-    block = f"{name}.block{i}"
-    d_in = _conv_time_backward(
-        d_pre, branch.windows[i], branch.flat_w[i], grads[f"{block}.conv_w"], grads[f"{block}.conv_b"]
-    )
+    d_in = _conv_time_backward(d_pre, branch.windows[i], branch.flat_w[i], grads.conv_w, grads.conv_b)
     d_in += d_h  # the residual add
     return d_in, d_bias
 
@@ -422,8 +417,8 @@ def backward(
     params: DenoiserParams,
     trace: ForwardTrace,
     loss_grad: np.ndarray,
-    grads: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
+    grads: DenoiserParams | None = None,
+) -> DenoiserParams:
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
     ``loss_grad`` is d loss / d eps_hat from the matching forward call.
@@ -431,7 +426,7 @@ def backward(
     through the reference branch via the zero-linear maps; otherwise the
     reference hidden states are treated as constants.
 
-    The gradients are added into ``grads`` (a ``zero_grads`` dict), which
+    The gradients are added into ``grads`` (a ``zero_grads`` result), which
     is returned; without one they are added to fresh zeros.  Each array
     receives exactly one addition per call, so summing a batch this way
     equals adding the items' fresh results in the same order.
@@ -447,36 +442,36 @@ def backward(
     H = params.hidden
     L = params.depth
 
-    grads["out.w"] += loss_grad @ den.hiddens[-1].T
-    grads["out.b"] += loss_grad.sum(axis=1)
+    grads.out_w += loss_grad @ den.hiddens[-1].T
+    grads.out_b += loss_grad.sum(axis=1)
     d_h = params.out_w.T @ loss_grad
 
     d_s = np.zeros(H)
     d_c = np.zeros((H, trace.cond.shape[1]))
     d_ref_hidden = [None] * L
     for i in range(L - 1, -1, -1):
-        grads[f"zero{i}.w"] += d_h @ trace.ref_hidden[i].T
-        grads[f"zero{i}.b"] += d_h.sum(axis=1)
+        grads.zero_w[i] += d_h @ trace.ref_hidden[i].T
+        grads.zero_b[i] += d_h.sum(axis=1)
         d_ref_hidden[i] = params.zero_w[i].T @ d_h
-        d_h, d_bias = _block_backward(d_h, den, i, grads, "denoise", d_c)
+        d_h, d_bias = _block_backward(d_h, den, i, grads.denoise.blocks[i], d_c)
         d_s += d_bias.sum(axis=1)
-    grads["denoise.in_w"] += d_h @ den.x_in.T
-    grads["denoise.in_b"] += d_h.sum(axis=1)
+    grads.denoise.in_w += d_h @ den.x_in.T
+    grads.denoise.in_b += d_h.sum(axis=1)
 
     if trace.ref is not None:
         ref = trace.ref
         d_h = d_ref_hidden[L - 1]
         for i in range(L - 1, -1, -1):
-            d_h, _ = _block_backward(d_h, ref, i, grads, "ref", d_c)
+            d_h, _ = _block_backward(d_h, ref, i, grads.ref.blocks[i], d_c)
             if i > 0:
                 d_h += d_ref_hidden[i - 1]
-        grads["ref.in_w"] += d_h @ ref.x_in.T
-        grads["ref.in_b"] += d_h.sum(axis=1)
+        grads.ref.in_w += d_h @ ref.x_in.T
+        grads.ref.in_b += d_h.sum(axis=1)
 
-    grads["step.w"] += np.outer(d_s, trace.emb)
-    grads["step.b"] += d_s
-    grads["cond.w"] += d_c @ trace.cond.T
-    grads["cond.b"] += d_c.sum(axis=1)
+    grads.step_w += np.outer(d_s, trace.emb)
+    grads.step_b += d_s
+    grads.cond_w += d_c @ trace.cond.T
+    grads.cond_b += d_c.sum(axis=1)
     return grads
 
 
@@ -509,7 +504,7 @@ def grad_check(
     grads = backward(params, trace, loss_grad)
 
     worst = 0.0
-    for name, arr in params.named_arrays():
+    for (_, arr), (_, grad) in zip(params.named_arrays(), grads.named_arrays()):
         for j in np.ndindex(arr.shape):
             orig = arr[j]
             arr[j] = orig + h
@@ -518,7 +513,7 @@ def grad_check(
             down = loss_of()
             arr[j] = orig
             numeric = (up - down) / (2.0 * h)
-            analytic = grads[name][j]
+            analytic = grad[j]
             denom = max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, abs(analytic - numeric) / denom)
     return worst
@@ -568,13 +563,6 @@ def _parse_arch(arch) -> dict:
     return arch
 
 
-def _n_parameters(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> int:
-    """Parameter count of ``init_params`` with these sizes, without allocating."""
-    branch = hidden * n_mels + hidden + depth * (2 * hidden * hidden * kernel + 2 * hidden)
-    zero = depth * (hidden * hidden + hidden)
-    return 2 * branch + zero + n_mels * (hidden + 1) + (step_dim + cond_dim + 2) * hidden
-
-
 def load_checkpoint(path) -> tuple[DenoiserParams, dict]:
     """Read an RDCK file written by ``save_checkpoint``.
 
@@ -602,16 +590,13 @@ def load_checkpoint(path) -> tuple[DenoiserParams, dict]:
             raise ValueError("checkpoint header must be a JSON object")
         arch = _parse_arch(header.get("arch"))
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        needed = 8 * _n_parameters(**arch)
+        needed = 8 * sum(math.prod(shape) for shape in _shapes(**arch))
         if remaining != needed:
             kind = "truncated" if remaining < needed else "trailing bytes in"
             raise ValueError(f"{kind} checkpoint: {remaining} parameter bytes, its arch needs {needed}")
-        values = np.frombuffer(fh.read(needed), dtype="<f8")
-    if not np.isfinite(values).all():
+        params = _zero_params(**arch)
+        for _, arr in params.named_arrays():  # block by block: no second copy of every value
+            arr[...] = np.frombuffer(fh.read(arr.nbytes), dtype="<f8").reshape(arr.shape)
+    if not np.isfinite(params.flat).all():
         raise ValueError(f"checkpoint {path} holds a NaN or infinite parameter value")
-    params = _zero_params(**arch)
-    offset = 0
-    for _, arr in params.named_arrays():
-        arr[...] = values[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
     return params, header

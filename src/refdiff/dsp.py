@@ -92,25 +92,6 @@ class MelSpectrogram:
 
 
 @dataclass(frozen=True)
-class GaussianKernel:
-    """Odd-length normalized Gaussian taps for separable blurring."""
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.float64)
-        object.__setattr__(self, "taps", taps)
-        if taps.ndim != 1 or taps.size % 2 == 0:
-            raise ValueError("taps must be a 1-D odd-length sequence")
-        if taps.min() <= 0.0:
-            raise ValueError("taps must be positive")
-        if abs(taps.sum() - 1.0) > 1e-9:
-            raise ValueError("taps must sum to 1")
-        if not np.allclose(taps, taps[::-1], rtol=0.0, atol=1e-12):
-            raise ValueError("taps must be symmetric about the center")
-
-
-@dataclass(frozen=True)
 class MelConfig:
     """Framing and filterbank settings for mel_spectrogram."""
 
@@ -348,8 +329,9 @@ def log_compress(mel: MelSpectrogram, floor: float = 1e-5) -> MelSpectrogram:
     )
 
 
-def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> GaussianKernel:
-    """Normalized Gaussian taps: taps[i] proportional to exp(-(i-c)^2 / 2 sigma^2)."""
+def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
+    """Normalized Gaussian taps for separable blurring: an odd number of
+    positive, symmetric taps, taps[i] proportional to exp(-(i-c)^2 / 2 sigma^2)."""
     if size < 1 or size % 2 == 0:
         raise ValueError("size must be a positive odd integer")
     if not math.isfinite(sigma) or sigma <= 0.0:
@@ -358,15 +340,18 @@ def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> GaussianKernel:
     offsets = np.arange(size) - center
     taps = np.exp(-(offsets**2) / (2.0 * sigma**2))
     taps /= taps.sum()
-    return GaussianKernel(taps=taps)
+    if taps.min() <= 0.0:
+        raise ValueError(f"sigma {sigma} is too small for {size} taps: the outer taps underflow to zero")
+    return taps
 
 
 def gaussian_blur_2d(
     mel: MelSpectrogram,
-    kernel: GaussianKernel,
+    taps: np.ndarray,
     frame_range: tuple[int, int],
 ) -> MelSpectrogram:
-    """Separable Gaussian blur restricted to frames [start, end).
+    """Separable Gaussian blur with ``gaussian_kernel`` taps, restricted
+    to frames [start, end).
 
     The selected columns are blurred along time then frequency with
     reflect padding at both the matrix borders and the range borders;
@@ -378,8 +363,8 @@ def gaussian_blur_2d(
         raise ValueError(f"frame range [{start}, {end}) out of bounds for T={T}")
     out = mel.data.copy()
     sub = out[:, start:end]
-    sub = reflect_conv1d(sub, kernel.taps, axis=1)
-    sub = reflect_conv1d(sub, kernel.taps, axis=0)
+    sub = reflect_conv1d(sub, taps, axis=1)
+    sub = reflect_conv1d(sub, taps, axis=0)
     out[:, start:end] = sub
     return MelSpectrogram(data=out, n_mels=mel.n_mels, hop=mel.hop, is_log=mel.is_log)
 

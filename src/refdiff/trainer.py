@@ -167,17 +167,16 @@ def prepare_sample(
     return PreparedSample(gt=sample_.gt_mel.data, ref_norm=ref_norm, cond=sample_.cond, weights=weights)
 
 
+ADAM_SLICE = 32768  # floats per Adam update: whole-vector temporaries would cost memory and time
+
+
 def adam_init(params: dn.DenoiserParams) -> dict:
-    return {
-        "t": 0,
-        "m": {name: np.zeros_like(arr) for name, arr in params.named_arrays()},
-        "v": {name: np.zeros_like(arr) for name, arr in params.named_arrays()},
-    }
+    return {"t": 0, "m": np.zeros_like(params.flat), "v": np.zeros_like(params.flat)}
 
 
 def adam_step(
     params: dn.DenoiserParams,
-    grads: dict[str, np.ndarray],
+    grads: dn.DenoiserParams,
     state: dict,
     lr: float,
     beta1: float = 0.9,
@@ -185,28 +184,24 @@ def adam_step(
     eps: float = 1e-8,
 ):
     """Standard Adam update with bias correction, in place."""
+    if grads.arch() != params.arch():
+        raise ValueError(f"gradients of arch {grads.arch()} for parameters of arch {params.arch()}")
     state["t"] += 1
     t = state["t"]
-    for name, arr in params.named_arrays():
-        if name not in grads:
-            raise ValueError(f"missing gradient for {name}")
-        g = grads[name]
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        m = state["m"][name]
-        v = state["v"][name]
+    for lo in range(0, params.flat.size, ADAM_SLICE):
+        theta, g, m, v = (a[lo : lo + ADAM_SLICE] for a in (params.flat, grads.flat, state["m"], state["v"]))
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        # arr -= lr * m_hat / (sqrt(v_hat) + eps), one operation at a time
+        # theta -= lr * m_hat / (sqrt(v_hat) + eps), one operation at a time
         step = m / (1.0 - beta1**t)
         step *= lr
         denom = v / (1.0 - beta2**t)
         np.sqrt(denom, out=denom)
         denom += eps
         step /= denom
-        arr -= step
+        theta -= step
     return params, state
 
 
@@ -232,11 +227,12 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
         seed=config.seed,
     )
     state = adam_init(params)
+    batch_grads = dn.zero_grads(params)
     rng = np.random.default_rng(config.seed)
     loss_curve: list[float] = []
     for _ in range(config.total_steps):
         idx = rng.integers(0, len(prepared), size=config.batch_size)
-        batch_grads = dn.zero_grads(params)
+        batch_grads.flat.fill(0.0)
         batch_loss = 0.0
         for j in idx:
             item = prepared[j]
@@ -254,8 +250,7 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
             loss, loss_grad = weighted_eps_loss(noise, eps_hat, item.weights.data)
             dn.backward(params, trace, loss_grad, batch_grads)
             batch_loss += loss
-        for name in batch_grads:
-            batch_grads[name] /= config.batch_size
+        batch_grads.flat /= config.batch_size
         batch_loss /= config.batch_size
         if not np.isfinite(batch_loss):
             raise TrainingDivergedError(f"non-finite loss at step {len(loss_curve)}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import GaussianKernel, MelSpectrogram, gaussian_blur_2d, reflect_indices
+from .dsp import MelSpectrogram, gaussian_blur_2d, reflect_indices
 
 
 @dataclass(frozen=True)
@@ -206,15 +206,14 @@ def build_regions(points, w: int, total_frames: int) -> TransitionRegionSet:
     )
 
 
-def blur_regions(
-    mel: MelSpectrogram, regions: TransitionRegionSet, kernel: GaussianKernel
-) -> MelSpectrogram:
-    """Gaussian-blur each transition region; other frames pass through bit-identically."""
+def blur_regions(mel: MelSpectrogram, regions: TransitionRegionSet, taps: np.ndarray) -> MelSpectrogram:
+    """Gaussian-blur each transition region with ``gaussian_kernel`` taps;
+    other frames pass through bit-identically."""
     if regions.total_frames != mel.n_frames:
         raise ValueError("region set frame count does not match spectrogram")
     out = mel
     for start, end in regions.regions:
-        out = gaussian_blur_2d(out, kernel, (start, end))
+        out = gaussian_blur_2d(out, taps, (start, end))
     return out
 
 

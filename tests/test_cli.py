@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from refdiff import cli, diffusion, dsp, synthgen, trainer
+from refdiff import cli, diffusion, dsp, synthgen, trainer, transition
 from refdiff.synthgen import ScoreSpec, render_mel
 
 
@@ -276,11 +276,29 @@ class TestBlurSigma:
         assert code == 3 and out == ""
         assert len(err.strip().splitlines()) == 1 and "sigma" in err
 
+    def test_sigma_too_small_for_the_size_exit3(self, tmp_path, capsys):
+        # the outer taps of 101 at sigma 0.1 underflow to zero
+        mels = tmp_path / "two.mels"
+        write_two_note_mels(mels)
+        argv = ["blur", str(mels), str(tmp_path / "o.mels"), "--kernel-size", "101", "--sigma", "0.1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "sigma 0.1" in err and "101" in err
+
     def test_unit_sigma_ok(self, tmp_path, capsys):
         mels = tmp_path / "two.mels"
         write_two_note_mels(mels)
         code, _, _ = run_cli(capsys, "blur", str(mels), str(tmp_path / "o.mels"), "--sigma", "1.0")
         assert code == 0
+
+
+def test_detector_and_weight_defaults_come_from_their_modules():
+    detector = transition.TransitionConfig()
+    analyze = cli.build_parser().parse_args(["analyze", "in.mels"])
+    blur = cli.build_parser().parse_args(["blur", "in.mels", "out.mels"])
+    assert (analyze.k, analyze.w, analyze.eps) == (detector.smooth_k, detector.window_w, detector.eps)
+    assert analyze.region_weight == trainer.TrainConfig().lambda_in
+    assert (blur.k, blur.w) == (detector.smooth_k, detector.window_w)
 
 
 class TestSharedParser:
@@ -410,8 +428,7 @@ class TestBlur:
         )
         assert code == 0
         got = dsp.read_mels(out)
-        kernel = dsp.gaussian_kernel(5, 1.0)
-        oracle = brute_blur_2d(data[:, 11:19].astype(float), kernel.taps)
+        oracle = brute_blur_2d(data[:, 11:19].astype(float), dsp.gaussian_kernel(5, 1.0))
         np.testing.assert_allclose(got.data[:, 11:19], oracle, atol=1e-6)
         assert np.array_equal(got.data[:, :11], data[:, :11])
         assert np.array_equal(got.data[:, 19:], data[:, 19:])

@@ -73,6 +73,34 @@ class TestInit:
         assert len(names) == len(set(names))
 
 
+class TestLayout:
+    """Parameters, gradients and loaded checkpoints are views into one vector."""
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            dict(n_mels=2, hidden=3, depth=2, cond_dim=2, step_dim=4, kernel=3),
+            dict(n_mels=80, hidden=64, depth=4, cond_dim=2, step_dim=32, kernel=3),
+        ],
+    )
+    def test_arrays_tile_the_flat_vector_in_order(self, tmp_path, arch):
+        params = dn.init_params(**arch)
+        dn.save_checkpoint(tmp_path / "m.rdck", params, {})
+        loaded, _ = dn.load_checkpoint(tmp_path / "m.rdck")
+        layout = [(name, arr.shape, arr.strides) for name, arr in params.named_arrays()]
+        for p in (params, dn.zero_grads(params), loaded):
+            assert p.flat.ndim == 1 and p.flat.flags.c_contiguous and p.flat.dtype == np.float64
+            assert p.n_parameters() == p.flat.size
+            assert [(name, arr.shape, arr.strides) for name, arr in p.named_arrays()] == layout
+            p.flat[...] = np.arange(p.flat.size)  # each entry's value is its index in flat
+            offset = 0
+            for name, arr in p.named_arrays():
+                assert np.shares_memory(arr, p.flat), name
+                assert np.array_equal(np.sort(arr, axis=None), np.arange(offset, offset + arr.size)), name
+                offset += arr.size
+            assert offset == p.flat.size
+
+
 class TestReferenceForward:
     def test_deterministic(self):
         params = tiny_params(randomize=2)
@@ -202,7 +230,7 @@ class TestBackward:
         hiddens = dn.reference_forward(params, x["ref"], x["cond"], trace=trace)
         eps_hat, trace = dn.denoiser_forward(params, x["x_t"], 2, x["cond"], hiddens, trace=trace)
         grads = dn.backward(params, trace, np.zeros_like(eps_hat))
-        assert all(np.all(g == 0.0) for g in grads.values())
+        assert all(np.all(g == 0.0) for _, g in grads.named_arrays())
 
     def test_zero_linear_grads_nonzero_at_init(self):
         params = tiny_params(seed=2)  # zero_linears still at zero
@@ -211,10 +239,10 @@ class TestBackward:
         hiddens = dn.reference_forward(params, x["ref"], x["cond"], trace=trace)
         eps_hat, trace = dn.denoiser_forward(params, x["x_t"], 3, x["cond"], hiddens, trace=trace)
         grads = dn.backward(params, trace, np.ones_like(eps_hat))
-        assert np.abs(grads["zero0.w"]).max() > 0.0
-        assert np.abs(grads["zero1.w"]).max() > 0.0
+        assert np.abs(grads.zero_w[0]).max() > 0.0
+        assert np.abs(grads.zero_w[1]).max() > 0.0
         # no gradient reaches the reference branch while the maps are zero
-        assert np.all(grads["ref.in_w"] == 0.0)
+        assert np.all(grads.ref.in_w == 0.0)
 
     def test_grad_check_gated(self):
         params = tiny_params(randomize=7)
@@ -258,8 +286,8 @@ class TestBackward:
         hiddens = dn.reference_forward(params, x["ref"], x["cond"])
         eps_hat, trace = dn.denoiser_forward(params, x["x_t"], 2, x["cond"], hiddens)
         grads = dn.backward(params, trace, np.ones_like(eps_hat))
-        assert np.all(grads["ref.in_w"] == 0.0)
-        assert np.abs(grads["denoise.in_w"]).max() > 0.0
+        assert np.all(grads.ref.in_w == 0.0)
+        assert np.abs(grads.denoise.in_w).max() > 0.0
 
 
 class TestCheckpointFormat:
@@ -311,7 +339,6 @@ class TestCheckpointFormat:
     def test_size_check_matches_the_arrays(self, tmp_path, arch):
         # the reader checks the file size against the arch before allocating
         params = dn.init_params(**arch)
-        assert dn._n_parameters(**arch) == params.n_parameters()
         path = tmp_path / "a.rdck"
         dn.save_checkpoint(path, params, {})
         loaded, _ = dn.load_checkpoint(path)

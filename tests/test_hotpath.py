@@ -95,10 +95,14 @@ def ref_forward(p, x_t, t, cond, ref_mel):
     return eps_hat, {"den": den, "ref": ref, "ref_hidden": ref_hidden, "emb": emb, "cond": cond}
 
 
+def ref_zero_grads(p):
+    return {name: np.zeros_like(arr) for name, arr in p.named_arrays()}
+
+
 def ref_backward(p, tr, loss_grad):
     H, L = p.hidden, p.depth
     den = tr["den"]
-    grads = dn.zero_grads(p)
+    grads = ref_zero_grads(p)
     grads["out.w"][...] = loss_grad @ den["h"][-1].T
     grads["out.b"][...] = loss_grad.sum(axis=1)
     d_h = p.out_w.T @ loss_grad
@@ -148,6 +152,10 @@ def ref_backward(p, tr, loss_grad):
     return grads
 
 
+def ref_adam_init(params):
+    return {"t": 0, "m": ref_zero_grads(params), "v": ref_zero_grads(params)}
+
+
 def ref_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     state["t"] += 1
     t = state["t"]
@@ -190,6 +198,7 @@ def ref_init_params(n_mels, hidden, depth, cond_dim, step_dim, kernel, seed):
         step_b=np.zeros(hidden),
         cond_w=rng.standard_normal((hidden, cond_dim)) / np.sqrt(cond_dim),
         cond_b=np.zeros(hidden),
+        flat=None,
     )
 
 
@@ -206,12 +215,12 @@ def ref_train(config, dataset):
         kernel=config.kernel,
         seed=config.seed,
     )
-    state = trainer.adam_init(params)
+    state = ref_adam_init(params)
     rng = np.random.default_rng(config.seed)
     curve = []
     for _ in range(config.total_steps):
         idx = rng.integers(0, len(prepared), size=config.batch_size)
-        batch_grads = dn.zero_grads(params)
+        batch_grads = ref_zero_grads(params)
         batch_loss = 0.0
         for j in idx:
             item = prepared[j]
@@ -280,7 +289,7 @@ def test_forward_and_backward_match_reference(T, with_reference):
     eps_hat, trace = dn.denoiser_forward(params, x_t, 37, cond, hiddens, trace=trace)
     want_eps, want_trace = ref_forward(params, x_t, 37, cond, ref_mel if with_reference else None)
     assert same_bytes(eps_hat, want_eps)
-    grads = dn.backward(params, trace, eps_hat - target)
+    grads = dict(dn.backward(params, trace, eps_hat - target).named_arrays())
     want = ref_backward(params, want_trace, want_eps - target)
     for name in want:
         assert same_bytes(grads[name], want[name] + 0.0), name  # fresh zeros plus the item's gradient
@@ -297,14 +306,15 @@ def test_backward_accumulates_the_batch_sum_in_order():
         hiddens = dn.reference_forward(params, ref_mel, cond, trace=trace) if with_reference else None
         eps_hat, trace = dn.denoiser_forward(params, x_t, 11 * T % 100 + 1, cond, hiddens, trace=trace)
         items.append((trace, eps_hat - target))
-    summed = dn.zero_grads(params)
+    summed = ref_zero_grads(params)
     for trace, loss_grad in items:
-        fresh = dn.backward(params, trace, loss_grad)
+        fresh = dict(dn.backward(params, trace, loss_grad).named_arrays())
         for name in summed:
             summed[name] += fresh[name]
     accumulated = dn.zero_grads(params)
     for trace, loss_grad in items:
         assert dn.backward(params, trace, loss_grad, accumulated) is accumulated
+    accumulated = dict(accumulated.named_arrays())
     for name in summed:
         assert same_bytes(accumulated[name], summed[name]), name
 

@@ -45,7 +45,7 @@ class TestAdam:
         m = v = 0.0
         for g_val in (0.3, -0.2):
             grads = dn.zero_grads(params)
-            grads["out.b"][0] = g_val
+            grads.out_b[0] = g_val
             trainer.adam_step(params, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
             m = b1 * m + (1 - b1) * g_val
             v = b2 * v + (1 - b2) * g_val * g_val
@@ -58,7 +58,8 @@ class TestAdam:
         for _ in range(2):
             params = dn.init_params(n_mels=2, hidden=3, depth=1, seed=1)
             dn.randomize_params(params, seed=2)
-            grads = {name: 0.01 * np.ones_like(arr) for name, arr in params.named_arrays()}
+            grads = dn.zero_grads(params)
+            grads.flat[...] = 0.01
             state = trainer.adam_init(params)
             trainer.adam_step(params, grads, state, lr=0.05)
             results.append(params.out_w.copy())
@@ -67,8 +68,7 @@ class TestAdam:
     def test_structure_mismatch(self):
         params = dn.init_params(n_mels=2, hidden=3, depth=1, seed=0)
         state = trainer.adam_init(params)
-        grads = dn.zero_grads(params)
-        del grads["out.w"]
+        grads = dn.zero_grads(dn.init_params(n_mels=2, hidden=4, depth=1, seed=0))
         with pytest.raises(ValueError):
             trainer.adam_step(params, grads, state, lr=0.1)
 
@@ -149,11 +149,9 @@ class TestTrain:
                 loss = float((1.0 * diff * diff).sum() / w_total)
                 loss_grad = -2.0 * 1.0 * diff / w_total
                 grads = dn.backward(params, trace, loss_grad)
-                for name in batch:
-                    batch[name] += grads[name]
+                batch.flat += grads.flat
                 total += loss
-            for name in batch:
-                batch[name] /= cfg.batch_size
+            batch.flat /= cfg.batch_size
             losses.append(total / cfg.batch_size)
             trainer.adam_step(params, batch, state, cfg.learning_rate)
         assert losses == history.loss_curve

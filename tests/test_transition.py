@@ -289,7 +289,7 @@ class TestBlurRegions:
         kernel = dsp.gaussian_kernel(3, 1.0)
         out = transition.blur_regions(mel, rset, kernel)
         start, end = rset.regions[0]
-        oracle = brute_blur_2d(data[:, start:end], kernel.taps)
+        oracle = brute_blur_2d(data[:, start:end], kernel)
         np.testing.assert_allclose(out.data[:, start:end], oracle, atol=1e-12)
         assert np.array_equal(out.data[:, :start], data[:, :start])
         assert np.array_equal(out.data[:, end:], data[:, end:])
