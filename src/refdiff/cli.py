@@ -11,6 +11,7 @@ supplies the default output directory; everything else is explicit flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -133,9 +134,10 @@ def cmd_blur(args) -> int:
 
         def load(path):
             report = _json_file(path)
+            bound = functools.partial(synthgen.check_kind, "a region bound", kind=int)
             return transition.TransitionRegionSet(
-                regions=tuple((int(s), int(e)) for s, e in report["regions"]),
-                window=int(report["params"]["w"]),
+                regions=tuple(tuple(map(bound, region)) for region in report["regions"]),
+                window=synthgen.check_kind("params.w", report["params"]["w"], int),
                 total_frames=mel.n_frames,
             )
 
@@ -204,7 +206,7 @@ def cmd_train(args) -> int:
         json.dump(
             {
                 "loss_curve": history.loss_curve,
-                "config": config.to_json(),
+                "config": dataclasses.asdict(config),
             },
             fh,
             sort_keys=True,
@@ -237,7 +239,7 @@ def cmd_sample(args) -> int:
     item = dataset[args.index]
     prepared = trainer.prepare_sample(item, ckpt.config, ckpt.norm_lo, ckpt.norm_hi)
     x0 = trainer.sample_prepared(ckpt, prepared, steps, args.seed)
-    out = dsp.MelSpectrogram(data=x0, n_mels=item.gt_mel.n_mels, hop=item.gt_mel.hop, is_log=True)
+    out = dsp.MelSpectrogram(data=x0, hop=item.gt_mel.hop, is_log=True)
     dsp.write_mels(args.output, out)
     mse = float(((x0 - trainer.gt_in_checkpoint_norm(ckpt, dataset, item)) ** 2).mean())
     _emit(

@@ -38,7 +38,7 @@ class NoiseSchedule:
         return {"T": self.T, "beta_min": self.beta_min, "beta_max": self.beta_max}
 
 
-def make_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.06) -> NoiseSchedule:
+def make_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSchedule:
     """Linear beta schedule with cumulative alpha products."""
     if T < 1:
         raise ValueError("T must be >= 1")

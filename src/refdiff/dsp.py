@@ -58,7 +58,7 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class MelSpectrogram:
-    """F x T matrix of mel-band values.
+    """F x T matrix of mel-band values: ``n_mels`` is F and ``n_frames`` T.
 
     ``is_log`` distinguishes linear (non-negative) energies from
     log-compressed (possibly negative) values; operations that rely on
@@ -66,7 +66,6 @@ class MelSpectrogram:
     """
 
     data: np.ndarray
-    n_mels: int
     hop: int
     is_log: bool = False
 
@@ -75,8 +74,6 @@ class MelSpectrogram:
         object.__setattr__(self, "data", data)
         if data.ndim != 2:
             raise ValueError("data must be a 2-D matrix")
-        if data.shape[0] != self.n_mels:
-            raise ValueError("row count must equal n_mels")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError("spectrogram must have at least one bin and one frame")
         if not np.all(np.isfinite(data)):
@@ -85,6 +82,10 @@ class MelSpectrogram:
             raise ValueError("linear-domain spectrogram entries must be >= 0")
         if self.hop <= 0:
             raise ValueError("hop must be positive")
+
+    @property
+    def n_mels(self) -> int:
+        return self.data.shape[0]
 
     @property
     def n_frames(self) -> int:
@@ -98,9 +99,7 @@ class MelConfig:
     frame: int = 512
     hop: int = 128
     n_mels: int = 80
-    fmin: float = 0.0
     fmax: float | None = None  # defaults to Nyquist
-    window: str = "hann"
 
 
 _WAV_ENCODINGS = {(1, 16): np.dtype("<i2"), (3, 32): np.dtype("<f4")}  # (format tag, bits)
@@ -214,9 +213,9 @@ def reflect_conv1d(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
 
 def stft_magnitude(
     audio: AudioBuffer,
-    frame: int = 512,
-    hop: int = 128,
-    window: str = "hann",
+    frame: int,
+    hop: int,
+    window: str,
 ) -> np.ndarray:
     """Magnitude STFT with centered, reflect-padded framing.
 
@@ -271,12 +270,12 @@ def mel_center_frequencies(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
 def mel_filterbank(
     sample_rate: int,
     n_fft_bins: int,
-    n_mels: int = 80,
-    fmin: float = 0.0,
-    fmax: float | None = None,
+    n_mels: int,
+    fmin: float,
+    fmax: float | None,
 ) -> np.ndarray:
-    """Triangular filters with mel-spaced centers over [fmin, fmax], as an
-    n_mels x n_fft_bins weight matrix.
+    """Triangular filters with mel-spaced centers over [fmin, fmax] (None
+    for Nyquist), as an n_mels x n_fft_bins weight matrix.
 
     Triangles are evaluated in fractional-FFT-bin space with a minimum
     half-width of one bin, so every filter keeps support even where the
@@ -303,19 +302,19 @@ def mel_filterbank(
 
 
 def mel_spectrogram(audio: AudioBuffer, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
-    """Linear-domain mel spectrogram: filterbank applied to STFT magnitudes."""
-    mags = stft_magnitude(audio, frame=cfg.frame, hop=cfg.hop, window=cfg.window)
+    """Linear-domain mel spectrogram: filters from 0 Hz applied to Hann STFT magnitudes."""
+    mags = stft_magnitude(audio, frame=cfg.frame, hop=cfg.hop, window="hann")
     weights = mel_filterbank(
         audio.sample_rate,
         n_fft_bins=mags.shape[0],
         n_mels=cfg.n_mels,
-        fmin=cfg.fmin,
+        fmin=0.0,
         fmax=cfg.fmax,
     )
-    return MelSpectrogram(data=weights @ mags, n_mels=cfg.n_mels, hop=cfg.hop, is_log=False)
+    return MelSpectrogram(data=weights @ mags, hop=cfg.hop, is_log=False)
 
 
-def log_compress(mel: MelSpectrogram, floor: float = 1e-5) -> MelSpectrogram:
+def log_compress(mel: MelSpectrogram, floor: float) -> MelSpectrogram:
     """Entry-wise natural log of max(value, floor)."""
     if mel.is_log:
         raise ValueError("spectrogram is already log-compressed")
@@ -323,7 +322,6 @@ def log_compress(mel: MelSpectrogram, floor: float = 1e-5) -> MelSpectrogram:
         raise ValueError("floor must be positive")
     return MelSpectrogram(
         data=np.log(np.maximum(mel.data, floor)),
-        n_mels=mel.n_mels,
         hop=mel.hop,
         is_log=True,
     )
@@ -366,7 +364,7 @@ def gaussian_blur_2d(
     sub = reflect_conv1d(sub, taps, axis=1)
     sub = reflect_conv1d(sub, taps, axis=0)
     out[:, start:end] = sub
-    return MelSpectrogram(data=out, n_mels=mel.n_mels, hop=mel.hop, is_log=mel.is_log)
+    return MelSpectrogram(data=out, hop=mel.hop, is_log=mel.is_log)
 
 
 # --- MELS binary format -------------------------------------------------
@@ -409,5 +407,5 @@ def read_mels(path) -> MelSpectrogram:
         payload = fh.read(need)
     data = np.frombuffer(payload, dtype="<f4").reshape(n_mels, n_frames)
     return MelSpectrogram(
-        data=data.astype(np.float64), n_mels=n_mels, hop=hop, is_log=bool(is_log)
+        data=data.astype(np.float64), hop=hop, is_log=bool(is_log)
     )

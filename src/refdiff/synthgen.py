@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dsp import MelSpectrogram, log_compress, mel_center_frequencies, read_mels, write_mels
+from .dsp import MelConfig, MelSpectrogram, log_compress, mel_center_frequencies, read_mels, write_mels
 from .transition import TransitionRegionSet, build_regions
 
 HARMONICS = 5
@@ -32,9 +32,9 @@ class ScoreSpec:
     """A toy score: (pitch in Hz, duration in frames) per note."""
 
     notes: tuple[tuple[float, int], ...]
-    sample_rate: int = 44100
-    hop: int = 128
-    n_mels: int = 80
+    sample_rate: int
+    hop: int
+    n_mels: int
 
     def __post_init__(self):
         if not self.notes:
@@ -62,9 +62,10 @@ class SynthSample:
     gt_mel is log-compressed at ``cfg.log_floor`` and normalized to
     [-1, 1] with the dataset-level statistics; ref_mel stays in the
     linear domain for the detector and blur, and is log-compressed at
-    the same floor later.  The condition matrix and the oracle regions
-    (``cfg.region_window`` frames per boundary) are derived from the
-    score, so they cannot disagree with it.
+    the same floor later.  Both are n_mels x T at the score's hop.  The
+    condition matrix and the oracle regions (``cfg.region_window``
+    frames per boundary) are derived from the score, so they cannot
+    disagree with it.
     """
 
     gt_mel: MelSpectrogram
@@ -75,38 +76,53 @@ class SynthSample:
     true_regions: TransitionRegionSet = field(init=False)
 
     def __post_init__(self):
-        shape = (self.score.n_mels, self.score.total_frames)
-        if self.gt_mel.data.shape != shape or self.ref_mel.data.shape != shape:
-            raise ValueError(
-                f"gt and ref must be n_mels x T = {shape} like their score, "
-                f"got {self.gt_mel.data.shape} and {self.ref_mel.data.shape}"
-            )
+        shape, hop = (self.score.n_mels, self.score.total_frames), self.score.hop
+        for name, mel, is_log in (("gt", self.gt_mel, True), ("ref", self.ref_mel, False)):
+            if (mel.data.shape, mel.hop, mel.is_log) != (shape, hop, is_log):
+                raise ValueError(
+                    f"{name} must be {'log' if is_log else 'linear'}-domain and {shape} at hop {hop} "
+                    f"like its score, got is_log={mel.is_log} and {mel.data.shape} at hop {mel.hop}"
+                )
         self.cond = score_condition(self.score)
         self.true_regions = true_transition_regions(self.score, self.cfg.region_window)
 
 
+def check_kind(name: str, value, kind: type):
+    """``value``, or TypeError naming ``name`` unless it is of ``kind``: for
+    bool true or false, for int an integer that is not a bool, otherwise a
+    finite number that is not a bool."""
+    if kind is bool:
+        ok, what = isinstance(value, bool), "true or false"
+    elif kind is int:
+        ok, what = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+    else:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        what = "a finite number"
+    if not ok:
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def check_field_types(config) -> None:
     """Raise TypeError unless every field of the dataclass ``config`` holds
-    a value of its default's kind: a bool, an integer that is not a bool,
-    or a finite number."""
+    a value of its default's kind (see ``check_kind``)."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if type(f.default) is bool:
-            ok, kind = isinstance(value, bool), "true or false"
-        elif type(f.default) is int:
-            ok, kind = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
-        else:
-            ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-            kind = "a finite number"
-        if not ok:
-            raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+        check_kind(f.name, getattr(config, f.name), type(f.default))
+
+
+def read_norm(norm: dict, what: str) -> tuple[float, float]:
+    """The (lo, hi) of a ``what`` file's norm object: finite numbers, lo < hi."""
+    lo, hi = (float(check_kind(f"{what} norm.{key}", norm[key], float)) for key in ("lo", "hi"))
+    if not lo < hi:
+        raise ValueError(f"{what} norm must have lo < hi, got {norm}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
     sample_rate: int = 44100
-    hop: int = 128
-    n_mels: int = 80
+    hop: int = MelConfig.hop  # an item's frames are those mel_spectrogram makes of its audio
+    n_mels: int = MelConfig.n_mels
     notes_min: int = 3
     notes_max: int = 8
     dur_min: int = 8
@@ -183,7 +199,7 @@ def render_mel(score: ScoreSpec, seed) -> MelSpectrogram:
     data = profiles.T @ _note_weights(score)
     jitter = np.clip(1.0 + 0.05 * rng.standard_normal(score.total_frames), 0.5, None)
     data = data * jitter[None, :]
-    return MelSpectrogram(data=data, n_mels=score.n_mels, hop=score.hop, is_log=False)
+    return MelSpectrogram(data=data, hop=score.hop, is_log=False)
 
 
 def degrade_reference(
@@ -229,7 +245,7 @@ def degrade_reference(
         spread = np.exp(sigma * rng.standard_normal((hi - lo, F)) - 0.5 * np.float_power(sigma, 2))
         data[:, lo:hi] = (cols * spread).T
     noise = np.clip(1.0 + 0.01 * rng.standard_normal(data.shape), 0.0, None)
-    return MelSpectrogram(data=data * noise, n_mels=gt_mel.n_mels, hop=gt_mel.hop, is_log=False)
+    return MelSpectrogram(data=data * noise, hop=gt_mel.hop, is_log=False)
 
 
 def true_transition_regions(score: ScoreSpec, w: int) -> TransitionRegionSet:
@@ -237,28 +253,14 @@ def true_transition_regions(score: ScoreSpec, w: int) -> TransitionRegionSet:
     return build_regions(score.boundaries(), w, score.total_frames)
 
 
-def normalize_f0(f0: np.ndarray, voiced: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-variance contour over voiced frames; unvoiced set to 0."""
-    f0 = np.asarray(f0, dtype=np.float64)
-    voiced = np.asarray(voiced, dtype=bool)
-    if f0.shape != voiced.shape:
-        raise ValueError("f0 and voiced mask must have equal length")
-    if voiced.sum() < 2:
-        raise ValueError("need at least two voiced frames")
-    values = f0[voiced]
-    std = values.std()
-    if std == 0.0:
-        raise ValueError("voiced f0 contour has zero variance")
-    out = np.zeros_like(f0)
-    out[voiced] = (values - values.mean()) / std
-    return out
-
-
 def score_condition(score: ScoreSpec) -> np.ndarray:
-    """(2, T) condition: normalized per-frame F0 plus an all-voiced flag."""
+    """(2, T) condition: the per-frame F0 at zero mean and unit variance,
+    plus an all-voiced flag."""
     f0 = np.concatenate([np.full(dur, pitch) for pitch, dur in score.notes])
-    voiced = np.ones(score.total_frames, dtype=bool)
-    return np.vstack([normalize_f0(f0, voiced), np.ones(score.total_frames)])
+    std = f0.std()
+    if std == 0.0:
+        raise ValueError("f0 contour has zero variance: the score needs two pitches")
+    return np.vstack([(f0 - f0.mean()) / std, np.ones(score.total_frames)])
 
 
 def normalize_log_mel(mel: MelSpectrogram, lo: float, hi: float) -> MelSpectrogram:
@@ -268,12 +270,12 @@ def normalize_log_mel(mel: MelSpectrogram, lo: float, hi: float) -> MelSpectrogr
     if hi <= lo:
         raise ValueError("require hi > lo")
     data = 2.0 * (mel.data - lo) / (hi - lo) - 1.0
-    return MelSpectrogram(data=data, n_mels=mel.n_mels, hop=mel.hop, is_log=True)
+    return MelSpectrogram(data=data, hop=mel.hop, is_log=True)
 
 
 def denormalize_log_mel(mel: MelSpectrogram, lo: float, hi: float) -> MelSpectrogram:
     data = (mel.data + 1.0) / 2.0 * (hi - lo) + lo
-    return MelSpectrogram(data=data, n_mels=mel.n_mels, hop=mel.hop, is_log=True)
+    return MelSpectrogram(data=data, hop=mel.hop, is_log=True)
 
 
 def random_score(rng: np.random.Generator, cfg: DatasetConfig) -> ScoreSpec:
@@ -371,9 +373,8 @@ def load_dataset(manifest_path) -> SynthDataset:
         raise ValueError(
             f"line 1 is not a version-{MANIFEST_VERSION} manifest header; regenerate it with gendata"
         )
-    norm_lo, norm_hi = float(header["norm"]["lo"]), float(header["norm"]["hi"])
-    if not -np.inf < norm_lo < norm_hi < np.inf:
-        raise ValueError(f"manifest norm must be finite with lo < hi, got {header['norm']}")
+    norm_lo, norm_hi = read_norm(header["norm"], "manifest")
+    seed = check_kind("dataset_seed", header["dataset_seed"], int)
     cfg = DatasetConfig(**header["config"])
     samples = [
         SynthSample(
@@ -387,5 +388,5 @@ def load_dataset(manifest_path) -> SynthDataset:
     if not samples:
         raise ValueError(f"empty manifest: {manifest_path}")
     return SynthDataset(
-        samples=samples, norm_lo=norm_lo, norm_hi=norm_hi, cfg=cfg, seed=int(header["dataset_seed"])
+        samples=samples, norm_lo=norm_lo, norm_hi=norm_hi, cfg=cfg, seed=seed
     )

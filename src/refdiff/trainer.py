@@ -23,7 +23,9 @@ import numpy as np
 from . import denoiser as dn
 from .diffusion import NoiseSchedule, make_schedule, q_sample, sample, weighted_eps_loss
 from .dsp import MelSpectrogram, gaussian_kernel, log_compress
-from .synthgen import SynthDataset, SynthSample, check_field_types, denormalize_log_mel, normalize_log_mel
+from .synthgen import (
+    SynthDataset, SynthSample, check_field_types, denormalize_log_mel, normalize_log_mel, read_norm
+)
 from .transition import TransitionRegionSet, WeightMap, analyze, blur_regions, weight_map
 
 
@@ -61,9 +63,6 @@ class TrainConfig:
         if self.lambda_in < 1.0:
             raise ValueError("lambda_in must be >= 1")
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
     @staticmethod
     def from_json(obj: dict) -> "TrainConfig":
         known = set(TrainConfig.__dataclass_fields__)
@@ -81,17 +80,19 @@ class Checkpoint:
     def save(self, path) -> None:
         header = {
             "norm": {"lo": self.norm_lo, "hi": self.norm_hi},
-            "config": self.config.to_json(),
+            "config": asdict(self.config),
         }
         dn.save_checkpoint(path, self.params, header)
 
     @staticmethod
     def load(path) -> "Checkpoint":
         params, header = dn.load_checkpoint(path)
-        lo, hi = float(header["norm"]["lo"]), float(header["norm"]["hi"])
-        if not -np.inf < lo < hi < np.inf:
-            raise ValueError(f"checkpoint norm must be finite with lo < hi, got {header['norm']}")
+        lo, hi = read_norm(header["norm"], "checkpoint")
         config = TrainConfig.from_json(header["config"])  # the file stores no schedule
+        arch = params.arch()
+        for key in dn.ARCH_KEYS:  # n_mels and cond_dim come from the data, not the config
+            if getattr(config, key, arch[key]) != arch[key]:
+                raise ValueError(f"checkpoint config {key} {getattr(config, key)} is not its arch's {arch[key]}")
         return Checkpoint(
             params=params,
             schedule=make_schedule(config.schedule_T, config.beta_min, config.beta_max),
@@ -347,7 +348,7 @@ ABLATION_VARIANTS = {
 def ablation_suite(
     base_config: TrainConfig,
     dataset: SynthDataset,
-    steps_grid: tuple[int, ...] = (24, 54, 100),
+    steps_grid: tuple[int, ...],
     eval_seed: int = 0,
     eval_dataset: SynthDataset | None = None,
 ) -> dict:
@@ -356,7 +357,7 @@ def ablation_suite(
     Every variant trains with the same seed so comparisons share their
     random draws, and is evaluated at the full chain of
     ``base_config.schedule_T`` steps; the step sweep evaluates the full
-    model's checkpoint.
+    model's checkpoint, reusing its variant metrics at the full chain.
     Pass ``eval_dataset`` to measure on held-out samples instead of the
     training set.
     """
@@ -366,7 +367,7 @@ def ablation_suite(
         "variants": {},
         "steps": {},
     }
-    full_ckpt = None
+    full_ckpt = full_metrics = None
     for name, flags in ABLATION_VARIANTS.items():
         cfg = replace(base_config, **flags)
         ckpt, history = train(cfg, dataset)
@@ -377,8 +378,9 @@ def ablation_suite(
             "metrics": metrics.to_json(),
         }
         if name == "full":
-            full_ckpt = ckpt
+            full_ckpt, full_metrics = ckpt, metrics
     for steps in steps_grid:
-        metrics = evaluate(full_ckpt, eval_ds, steps, seed=eval_seed)
+        full_chain = steps == base_config.schedule_T
+        metrics = full_metrics if full_chain else evaluate(full_ckpt, eval_ds, steps, seed=eval_seed)
         out["steps"][str(steps)] = metrics.to_json()
     return out

@@ -30,22 +30,10 @@ class EnergyRatioSeries:
 
     raw: np.ndarray
     smoothed: np.ndarray
-    mean: float
-    kernel_size: int
 
-    def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=np.float64)
-        smoothed = np.asarray(self.smoothed, dtype=np.float64)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "smoothed", smoothed)
-        if raw.ndim != 1 or smoothed.shape != raw.shape:
-            raise ValueError("raw and smoothed must be 1-D and equal length")
-        if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(smoothed))):
-            raise ValueError("ratio series must be finite")
-        if raw.size and raw.min() < 0.0:
-            raise ValueError("raw ratios must be >= 0")
-        if abs(self.mean - float(smoothed.mean())) > 1e-9:
-            raise ValueError("mean must equal the arithmetic mean of smoothed")
+    @property
+    def mean(self) -> float:
+        return float(self.smoothed.mean())
 
 
 @dataclass(frozen=True)
@@ -113,7 +101,7 @@ def band_energies(mel: MelSpectrogram) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def energy_ratio(low: np.ndarray, high: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+def energy_ratio(low: np.ndarray, high: np.ndarray, eps: float) -> np.ndarray:
     """R(t) = high(t) / (low(t) + eps)."""
     low = np.asarray(low, dtype=np.float64)
     high = np.asarray(high, dtype=np.float64)
@@ -234,7 +222,7 @@ def analyze(
     transition centres -> regions."""
     raw = energy_ratio(*band_energies(mel), cfg.eps)
     smoothed = smooth_ratio(raw, cfg.smooth_k)
-    series = EnergyRatioSeries(raw, smoothed, float(smoothed.mean()), cfg.smooth_k)
+    series = EnergyRatioSeries(raw, smoothed)
     points = transition_centres(series, cfg.window_w)
     regions = build_regions(points, cfg.window_w, mel.n_frames)
     return series, regions

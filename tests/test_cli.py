@@ -17,7 +17,7 @@ import pytest
 from scipy.io import wavfile
 
 from refdiff import cli, diffusion, dsp, synthgen, trainer, transition
-from refdiff.synthgen import ScoreSpec, render_mel
+from refdiff.synthgen import DatasetConfig, render_mel
 
 
 def run_cli(capsys, *argv):
@@ -36,7 +36,7 @@ def write_silence_wav(path, seconds=1, sr=44100):
 
 
 def write_two_note_mels(path, seed=0):
-    score = ScoreSpec(notes=((220.0, 40), (880.0, 40)))
+    score = DatasetConfig().score(((220.0, 40), (880.0, 40)))
     mel = render_mel(score, seed=seed)
     dsp.write_mels(path, mel)
     return score
@@ -117,7 +117,7 @@ class TestAnalyze:
     def test_log_input_rejected(self, tmp_path, capsys):
         mels = tmp_path / "log.mels"
         dsp.write_mels(
-            mels, dsp.MelSpectrogram(data=-np.ones((4, 8)), n_mels=4, hop=128, is_log=True)
+            mels, dsp.MelSpectrogram(data=-np.ones((4, 8)), hop=128, is_log=True)
         )
         code, _, _ = run_cli(capsys, "analyze", str(mels))
         assert code == 2
@@ -349,7 +349,7 @@ class TestShortSpectrogram:
     def test_exit_code(self, tmp_path, capsys, command, T, k):
         mels = tmp_path / "short.mels"
         data = np.random.default_rng(T).uniform(0.5, 1.0, (6, T))
-        dsp.write_mels(mels, dsp.MelSpectrogram(data=data, n_mels=6, hop=128))
+        dsp.write_mels(mels, dsp.MelSpectrogram(data=data, hop=128))
         outputs = [str(tmp_path / "out.mels")] if command == "blur" else []
         code, out, err = run_cli(capsys, command, str(mels), *outputs, "--k", str(k))
         need = max(2, (k + 1) // 2)
@@ -364,7 +364,7 @@ class TestShortSpectrogram:
 def test_one_bin_spectrogram_exit2(tmp_path, capsys, command):
     # detection splits the mel axis into a low and a high band
     mels = tmp_path / "one_bin.mels"
-    dsp.write_mels(mels, dsp.MelSpectrogram(data=np.full((1, 40), 0.5), n_mels=1, hop=128))
+    dsp.write_mels(mels, dsp.MelSpectrogram(data=np.full((1, 40), 0.5), hop=128))
     outputs = [str(tmp_path / "out.mels")] if command == "blur" else []
     code, out, err = run_cli(capsys, command, str(mels), *outputs)
     assert_one_line_input_error(code, out, err)
@@ -376,7 +376,7 @@ class TestBlur:
         mels = tmp_path / "in.mels"
         out = tmp_path / "out.mels"
         data = np.abs(np.random.default_rng(0).uniform(0.5, 1.0, (6, 10)))
-        dsp.write_mels(mels, dsp.MelSpectrogram(data=data, n_mels=6, hop=128))
+        dsp.write_mels(mels, dsp.MelSpectrogram(data=data, hop=128))
         report = tmp_path / "regions.json"
         report.write_text(
             json.dumps(
@@ -396,7 +396,7 @@ class TestBlur:
     def test_constant_unchanged(self, tmp_path, capsys):
         mels = tmp_path / "in.mels"
         out = tmp_path / "out.mels"
-        dsp.write_mels(mels, dsp.MelSpectrogram(data=np.full((6, 20), 2.0), n_mels=6, hop=128))
+        dsp.write_mels(mels, dsp.MelSpectrogram(data=np.full((6, 20), 2.0), hop=128))
         code, _, _ = run_cli(capsys, "blur", str(mels), str(out))
         assert code == 0
         result = dsp.read_mels(out)
@@ -409,7 +409,7 @@ class TestBlur:
         data[3, 15] = 4.0
         mels = tmp_path / "imp.mels"
         out = tmp_path / "out.mels"
-        dsp.write_mels(mels, dsp.MelSpectrogram(data=data.astype(float), n_mels=7, hop=128))
+        dsp.write_mels(mels, dsp.MelSpectrogram(data=data.astype(float), hop=128))
         report = tmp_path / "regions.json"
         report.write_text(
             json.dumps(
@@ -460,8 +460,16 @@ class TestBlurRegionReportShape:
             '{"regions": null, "params": {"w": 8}}',
             "[" * 100_000,
             '{"regions": [], "params": {"w": 1e999}}',
+            # a bound or window that is not an integer is not rounded to one
+            '{"regions": [[1.7, 5]], "params": {"w": 8}}',
+            '{"regions": [["3", "5"]], "params": {"w": 8}}',
+            '{"regions": [[false, true]], "params": {"w": 8}}',
+            '{"regions": [], "params": {"w": 2.5}}',
         ],
-        ids=["top_level_list", "params_null", "w_null", "regions_null", "deep_nesting", "w_inf"],
+        ids=[
+            "top_level_list", "params_null", "w_null", "regions_null", "deep_nesting", "w_inf",
+            "float_bound", "string_bounds", "bool_bounds", "float_w",
+        ],
     )
     def test_exit2(self, tmp_path, capsys, text):
         mels = tmp_path / "in.mels"
@@ -524,7 +532,7 @@ class TestManifestNoteTypes:
         record = json.loads(record)
         pitch, dur = record["notes"][0]
         record["notes"][0] = [pitch, dur + 0.5] if field == "duration" else [str(pitch), dur]
-        bad = dataset_dir / f"bad_{field}.jsonl"  # beside the MELS files it names
+        bad = dataset_dir / "bad_note.jsonl"  # beside the MELS files it names
         bad.write_text("\n".join([header, json.dumps(record), *records]) + "\n")
         code, out, err = run_cli(capsys, "eval", str(trained[0]), str(bad), "--steps", "2")
         assert_one_line_input_error(code, out, err)
@@ -568,18 +576,38 @@ class TestMelBinMismatch:
 
 class TestManifestNorm:
     @pytest.mark.parametrize(
-        "norm", ['{"lo": 0, "hi": 1e999}', '{"lo": -1e999, "hi": 0}', '{"lo": 0, "hi": NaN}', '{"lo": 1, "hi": 1}']
+        "norm",
+        [
+            '{"lo": 0, "hi": 1e999}',
+            '{"lo": -1e999, "hi": 0}',
+            '{"lo": 0, "hi": NaN}',
+            '{"lo": 1, "hi": 1}',
+            '{"lo": "-11", "hi": 1}',
+            '{"lo": false, "hi": 1}',
+        ],
     )
     def test_unusable_norm_exit2(self, trained, dataset_dir, capsys, norm):
-        # a non-finite norm would turn every metric into NaN, and lo >= hi
-        # cannot be normalized against
-        record = json.loads((dataset_dir / "manifest.jsonl").read_text().splitlines()[0])
-        record["norm"] = "SLOT"
-        bad = dataset_dir / "bad_norm.jsonl"  # beside the MELS files it names
-        bad.write_text(json.dumps(record).replace('"SLOT"', norm) + "\n")
+        # a non-finite norm would turn every metric into NaN, lo >= hi
+        # cannot be normalized against, and a string or a bool is not a number
+        header, *records = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        header = json.loads(header)
+        header["norm"] = "SLOT"
+        bad = dataset_dir / "unusable.jsonl"  # beside the MELS files it names
+        bad.write_text("\n".join([json.dumps(header).replace('"SLOT"', norm), *records]) + "\n")
         code, out, err = run_cli(capsys, "eval", str(trained[0]), str(bad), "--steps", "2")
         assert_one_line_input_error(code, out, err)
         assert "norm" in err
+
+
+class TestManifestDatasetSeed:
+    @pytest.mark.parametrize("seed", [7.9, True, "7"], ids=["float", "bool", "string"])
+    def test_non_integer_seed_exit2(self, trained, dataset_dir, capsys, seed):
+        header, *records = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        bad = dataset_dir / "bad_seed.jsonl"  # beside the MELS files it names
+        bad.write_text("\n".join([json.dumps({**json.loads(header), "dataset_seed": seed}), *records]) + "\n")
+        code, out, err = run_cli(capsys, "eval", str(trained[0]), str(bad), "--steps", "2")
+        assert_one_line_input_error(code, out, err)
+        assert "dataset_seed" in err
 
 
 class TestGendata:
@@ -660,7 +688,7 @@ class TestTrainCmd:
         # have 80: input, not a parameter error
         header, record, *_ = (dataset_dir / "manifest.jsonl").read_text().splitlines()
         ref = dsp.read_mels(dataset_dir / "ref_0000.mels")
-        dsp.write_mels(dataset_dir / "ref40.mels", dataclasses.replace(ref, data=ref.data[:40], n_mels=40))
+        dsp.write_mels(dataset_dir / "ref40.mels", dataclasses.replace(ref, data=ref.data[:40]))
         mixed = dataset_dir / "mixed.jsonl"
         mixed.write_text("\n".join([header, json.dumps({**json.loads(record), "ref": "ref40.mels"})]) + "\n")
         cfg = tmp_path / "cfg.json"
@@ -668,6 +696,22 @@ class TestTrainCmd:
         code, out, err = run_cli(capsys, "train", str(cfg), str(mixed))
         assert_one_line_input_error(code, out, err)
         assert "(80, " in err and "(40, " in err
+
+    @pytest.mark.parametrize("change", ["log", "hop"])
+    def test_ref_unlike_its_score_exit2(self, dataset_dir, tmp_path, capsys, change):
+        # a log-domain ref, or one framed at another hop, is an input
+        # error when the manifest loads, not a failure inside training
+        header, record, *_ = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        ref = dsp.read_mels(dataset_dir / "ref_0000.mels")
+        edit = {"is_log": True} if change == "log" else {"hop": 2 * ref.hop}
+        dsp.write_mels(dataset_dir / f"ref_{change}.mels", dataclasses.replace(ref, **edit))
+        bad = dataset_dir / f"ref_{change}.jsonl"
+        bad.write_text("\n".join([header, json.dumps({**json.loads(record), "ref": f"ref_{change}.mels"})]) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
+        code, out, err = run_cli(capsys, "train", str(cfg), str(bad), "--out", str(tmp_path))
+        assert_one_line_input_error(code, out, err)
+        assert "ref must be linear-domain" in err
 
 
 class TestSampleCmd:
@@ -786,13 +830,24 @@ class TestEvalCmd:
         assert_one_line_input_error(code, out, err)
         assert "beta_min" in err
 
-    @pytest.mark.parametrize("norm", [{"lo": 0, "hi": math.inf}, {"lo": 0, "hi": math.nan}, {"lo": 1, "hi": 1}])
+    @pytest.mark.parametrize(
+        "norm", [{"lo": 0, "hi": math.inf}, {"lo": 0, "hi": math.nan}, {"lo": 1, "hi": 1}, {"lo": "-11", "hi": 1}]
+    )
     def test_unusable_norm_exit2(self, trained, dataset_dir, tmp_path, capsys, norm):
         # an infinite hi maps every value to -1 and still scores
         blob = self._edit_header(trained[0].read_bytes(), lambda h: h.update(norm=norm))
         code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
         assert_one_line_input_error(code, out, err)
         assert "norm" in err
+
+    @pytest.mark.parametrize("key", ["hidden", "depth", "step_dim", "kernel"])
+    def test_config_contradicting_arch_exit2(self, trained, dataset_dir, tmp_path, capsys, key):
+        # the parameters are shaped by the arch; a config that disagrees
+        # with it would describe another network than the one that runs
+        blob = self._edit_header(trained[0].read_bytes(), lambda h: h["config"].update({key: h["arch"][key] + 2}))
+        code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
+        assert_one_line_input_error(code, out, err)
+        assert key in err
 
     def test_non_finite_parameter_exit2(self, trained, dataset_dir, tmp_path, capsys):
         # the last block, cond.b, has hidden = 8 values
@@ -952,7 +1007,7 @@ class TestOldConfigKeys:
         assert code == 0
         curve = json.loads((tmp_path / "model_loss.json").read_text())
         assert set(curve) == {"loss_curve", "config"}
-        assert curve["config"] == trainer.TrainConfig.from_json(base).to_json()
+        assert curve["config"] == dataclasses.asdict(trainer.TrainConfig.from_json(base))
 
     def test_checkpoint_header(self, trained, dataset_dir, tmp_path, capsys):
         old = tmp_path / "old.rdck"

@@ -45,7 +45,7 @@ def files(tmp_path_factory):
     )
     ckpt = trainer.Checkpoint(
         params=dn.randomize_params(params, seed=1),
-        schedule=diffusion.make_schedule(10),
+        schedule=diffusion.make_schedule(config.schedule_T, config.beta_min, config.beta_max),
         norm_lo=dataset.norm_lo,
         norm_hi=dataset.norm_hi,
         config=config,

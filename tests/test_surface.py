@@ -4,12 +4,15 @@ is stored twice."""
 
 import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from refdiff import denoiser, diffusion, synthgen, trainer
+import numpy as np
+
+from refdiff import denoiser, diffusion, dsp, synthgen, trainer, transition
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -79,3 +82,27 @@ def test_checkpoint_header_stores_no_schedule(tmp_path):
     trainer.Checkpoint(params, schedule, -1.0, 1.0, config).save(tmp_path / "m.rdck")
     _, header = denoiser.load_checkpoint(tmp_path / "m.rdck")
     assert set(header) == {"arch", "config", "norm"}
+
+
+def test_each_fact_has_one_home():
+    # a field derived from another, or a default restating a config's,
+    # could disagree with the value it copies
+    assert [f.name for f in dataclasses.fields(dsp.MelSpectrogram)] == ["data", "hop", "is_log"]
+    assert dsp.MelSpectrogram(data=np.ones((3, 2)), hop=1).n_mels == 3
+    assert [f.name for f in dataclasses.fields(transition.EnergyRatioSeries)] == ["raw", "smoothed"]
+    assert {f.name for f in dataclasses.fields(dsp.MelConfig)} == {"frame", "hop", "n_mels", "fmax"}
+    restated = {
+        synthgen.ScoreSpec: ["sample_rate", "hop", "n_mels"],
+        diffusion.make_schedule: ["beta_min", "beta_max"],
+        dsp.log_compress: ["floor"],
+        transition.energy_ratio: ["eps"],
+        dsp.stft_magnitude: ["frame", "hop", "window"],
+        dsp.mel_filterbank: ["n_mels", "fmin", "fmax"],
+        trainer.ablation_suite: ["steps_grid"],
+    }
+    for fn, names in restated.items():
+        params = inspect.signature(fn).parameters
+        assert [n for n in names if params[n].default is not inspect.Parameter.empty] == [], fn.__name__
+    defaults = synthgen.DatasetConfig()
+    assert (defaults.hop, defaults.n_mels) == (dsp.MelConfig.hop, dsp.MelConfig.n_mels)
+    assert not hasattr(synthgen, "normalize_f0") and not hasattr(trainer.TrainConfig, "to_json")

@@ -1,5 +1,7 @@
 """Synthetic data factory: determinism, oracle regions, degradation locality."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,29 +10,29 @@ from refdiff.dsp import mel_center_frequencies
 
 
 def two_note_score(p1=220.0, d1=20, p2=440.0, d2=20):
-    return synthgen.ScoreSpec(notes=((p1, d1), (p2, d2)))
+    return synthgen.DatasetConfig().score(((p1, d1), (p2, d2)))
 
 
 class TestScoreSpec:
     def test_boundaries(self):
-        score = synthgen.ScoreSpec(notes=((200.0, 10), (300.0, 10), (250.0, 5)))
+        score = synthgen.DatasetConfig().score(((200.0, 10), (300.0, 10), (250.0, 5)))
         assert score.boundaries() == [10, 20]
         assert score.total_frames == 25
 
     def test_pitch_bounds(self):
         with pytest.raises(ValueError):
-            synthgen.ScoreSpec(notes=((50.0, 10),))
+            synthgen.DatasetConfig().score(((50.0, 10),))
         with pytest.raises(ValueError):
-            synthgen.ScoreSpec(notes=((1200.0, 10),))
+            synthgen.DatasetConfig().score(((1200.0, 10),))
 
     def test_duration_bound(self):
         with pytest.raises(ValueError):
-            synthgen.ScoreSpec(notes=((200.0, 3),))
+            synthgen.DatasetConfig().score(((200.0, 3),))
 
 
 class TestRenderMel:
     def test_single_note_stationary_argmax(self):
-        score = synthgen.ScoreSpec(notes=((300.0, 30),))
+        score = synthgen.DatasetConfig().score(((300.0, 30),))
         mel = synthgen.render_mel(score, seed=0)
         argmax = np.argmax(mel.data, axis=0)
         assert np.all(argmax == argmax[0])
@@ -110,12 +112,12 @@ class TestDegradeReference:
 
 class TestTrueRegions:
     def test_single_note_empty(self):
-        score = synthgen.ScoreSpec(notes=((200.0, 30),))
+        score = synthgen.DatasetConfig().score(((200.0, 30),))
         regions = synthgen.true_transition_regions(score, 4)
         assert regions.regions == ()
 
     def test_two_notes_centered(self):
-        score = synthgen.ScoreSpec(notes=((200.0, 10), (300.0, 10)))
+        score = synthgen.DatasetConfig().score(((200.0, 10), (300.0, 10)))
         regions = synthgen.true_transition_regions(score, 4)
         assert regions.regions == ((8, 12),)
 
@@ -124,7 +126,7 @@ class TestTrueRegions:
         notes = tuple(
             (float(rng.uniform(100, 900)), int(rng.integers(5, 20))) for _ in range(6)
         )
-        score = synthgen.ScoreSpec(notes=notes)
+        score = synthgen.DatasetConfig().score(notes)
         regions = synthgen.true_transition_regions(score, 6)
         mask = regions.covers()
         for b in score.boundaries():
@@ -132,26 +134,22 @@ class TestTrueRegions:
 
 
 class TestNormalizeF0:
+    """The F0 row of score_condition: the per-frame pitch at zero mean and unit variance."""
+
     def test_two_point(self):
-        out = synthgen.normalize_f0(np.array([100.0, 300.0]), np.array([True, True]))
-        np.testing.assert_allclose(out, [-1.0, 1.0])
+        out = synthgen.score_condition(synthgen.DatasetConfig().score(((100.0, 4), (300.0, 4))))
+        np.testing.assert_allclose(out[0], [-1.0] * 4 + [1.0] * 4)
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            synthgen.normalize_f0(np.full(5, 200.0), np.ones(5, dtype=bool))
-
-    def test_all_unvoiced_rejected(self):
-        with pytest.raises(ValueError):
-            synthgen.normalize_f0(np.zeros(5), np.zeros(5, dtype=bool))
+            synthgen.score_condition(synthgen.DatasetConfig().score(((200.0, 5),)))
 
     def test_moments(self):
         rng = np.random.default_rng(1)
-        f0 = rng.uniform(100, 800, 50)
-        voiced = rng.uniform(size=50) > 0.3
-        out = synthgen.normalize_f0(f0, voiced)
-        assert abs(out[voiced].mean()) < 1e-9
-        assert abs(out[voiced].var() - 1.0) < 1e-9
-        assert np.all(out[~voiced] == 0.0)
+        notes = tuple((float(rng.uniform(100, 800)), int(rng.integers(4, 9))) for _ in range(50))
+        out = synthgen.score_condition(synthgen.DatasetConfig().score(notes))[0]
+        assert abs(out.mean()) < 1e-9
+        assert abs(out.var() - 1.0) < 1e-9
 
 
 class TestMakeDataset:
@@ -236,7 +234,7 @@ class TestManifest:
         d2 = tmp_path / "b"
         m1 = synthgen.write_dataset(synthgen.make_dataset(2, seed=9), d1)
         m2 = synthgen.write_dataset(synthgen.make_dataset(2, seed=9), d2)
-        assert open(m1, "rb").read() == open(m2, "rb").read()
+        assert Path(m1).read_bytes() == Path(m2).read_bytes()
         for name in sorted(p.name for p in d1.iterdir()):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -326,14 +324,14 @@ def loop_degrade_reference(gt_data, score, strength, seed):
 EDGE_SCORES = {
     # every note 4 frames: the +-4-frame windows of neighbouring
     # boundaries overlap, so a later boundary reads columns an earlier one wrote
-    "four_frame_notes": synthgen.ScoreSpec(notes=((200.0, 4), (310.0, 4), (150.0, 4), (620.0, 4))),
+    "four_frame_notes": synthgen.DatasetConfig().score(((200.0, 4), (310.0, 4), (150.0, 4), (620.0, 4))),
     # the first window starts at frame 0, the last is clamped at T
-    "clamped_windows": synthgen.ScoreSpec(notes=((440.0, 4), (300.0, 17), (880.0, 4))),
+    "clamped_windows": synthgen.DatasetConfig().score(((440.0, 4), (300.0, 17), (880.0, 4))),
     # at 8 kHz the upper harmonics of these pitches cross Nyquist
     "nyquist_8k": synthgen.ScoreSpec(
-        notes=((1000.0, 9), (700.0, 5), (950.0, 12), (81.0, 6)), sample_rate=8000, n_mels=40
+        notes=((1000.0, 9), (700.0, 5), (950.0, 12), (81.0, 6)), sample_rate=8000, hop=128, n_mels=40
     ),
-    "one_note": synthgen.ScoreSpec(notes=((330.0, 11),)),
+    "one_note": synthgen.DatasetConfig().score(((330.0, 11),)),
 }
 
 

@@ -325,3 +325,18 @@ class TestAblationSuite:
                 "n_nonregion",
             }
         assert set(table["steps"]) == {"3", "5"}
+
+    def test_full_chain_scored_once(self, small_dataset, monkeypatch):
+        # the step sweep reuses the full variant's metrics at schedule_T
+        calls = []
+        real = trainer.evaluate
+
+        def evaluate(ckpt, dataset, steps, seed=0):
+            calls.append(steps)
+            return real(ckpt, dataset, steps, seed=seed)
+
+        monkeypatch.setattr(trainer, "evaluate", evaluate)
+        cfg = tiny_train_config(total_steps=2, schedule_T=5)
+        table = trainer.ablation_suite(cfg, small_dataset, steps_grid=(3, 5))
+        assert calls == [5] * len(trainer.ABLATION_VARIANTS) + [3]
+        assert table["steps"]["5"] == table["variants"]["full"]["metrics"]
