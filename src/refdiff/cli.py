@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
@@ -116,8 +117,8 @@ def cmd_analyze(args) -> int:
         raise ParamError(f"--eps must be finite and > 0, got {args.eps}")
     mel = _load_spectrogram(args.input)
     cfg = _detector_config(mel, args, eps=args.eps)
-    series, regions = transition.analyze(mel, cfg)
-    report = transition.region_report(series, regions, mel.hop, cfg, args.region_weight)
+    _, regions = transition.analyze(mel, cfg)
+    report = transition.region_report(regions, mel.hop, cfg, args.region_weight)
     _emit(
         report,
         args.json,
@@ -137,7 +138,7 @@ def cmd_blur(args) -> int:
             bound = functools.partial(synthgen.check_kind, "a region bound", kind=int)
             return transition.TransitionRegionSet(
                 regions=tuple(tuple(map(bound, region)) for region in report["regions"]),
-                window=synthgen.check_kind("params.w", report["params"]["w"], int),
+                points=tuple(synthgen.check_kind("a point", p, int) for p in report["points"]),
                 total_frames=mel.n_frames,
             )
 
@@ -236,12 +237,9 @@ def cmd_sample(args) -> int:
     if not (0 <= args.index < len(dataset)):
         raise ParamError(f"index {args.index} outside dataset of {len(dataset)}")
     steps = _steps(args, ckpt)
-    item = dataset[args.index]
-    prepared = trainer.prepare_sample(item, ckpt.config, ckpt.norm_lo, ckpt.norm_hi)
-    x0 = trainer.sample_prepared(ckpt, prepared, steps, args.seed)
-    out = dsp.MelSpectrogram(data=x0, hop=item.gt_mel.hop, is_log=True)
-    dsp.write_mels(args.output, out)
-    mse = float(((x0 - trainer.gt_in_checkpoint_norm(ckpt, dataset, item)) ** 2).mean())
+    x0, gt = trainer.sample_item(ckpt, dataset, args.index, steps, args.seed)
+    dsp.write_mels(args.output, dsp.MelSpectrogram(data=x0, hop=dataset.cfg.hop, is_log=True))
+    mse = float(((x0 - gt) ** 2).mean())
     _emit(
         {
             "output": args.output,
@@ -311,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     detector = transition.TransitionConfig
+    kernel = inspect.signature(dsp.gaussian_kernel).parameters
 
     p = sub.add_parser("analyze", help="detect pitch-transition regions")
     p.add_argument("input", help="WAV or MELS file")
@@ -325,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--regions", help="region report JSON (default: auto-detect)")
-    p.add_argument("--kernel-size", type=int, default=5)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--kernel-size", type=int, default=kernel["size"].default)
+    p.add_argument("--sigma", type=float, default=kernel["sigma"].default)
     p.add_argument("--k", type=int, default=detector.smooth_k)
     p.add_argument("--w", type=int, default=detector.window_w)
     p.add_argument("--json", action="store_true")

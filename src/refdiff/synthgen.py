@@ -135,6 +135,8 @@ class DatasetConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.n_mels < 2:
+            raise ValueError(f"n_mels {self.n_mels}: transition detection needs a low and a high band")
 
     def score(self, notes) -> ScoreSpec:
         """A score of ``notes`` framed as every item of the dataset is."""

@@ -8,7 +8,7 @@ transition-weighted squared error.  References are blurred once at data
 preparation time, not per step, and the detected transition regions
 drive both that blur and the loss weight map.
 
-Evaluation samples each item back from noise with ``sample_prepared``
+Evaluation samples each item back from noise with ``sample_item``
 (x0 clipped to the normalized data range) and reports the mean squared
 error against the ground truth in the normalized log-mel domain, split
 into transition-region and non-region entries using the oracle regions.
@@ -80,7 +80,8 @@ class Checkpoint:
     def save(self, path) -> None:
         header = {
             "norm": {"lo": self.norm_lo, "hi": self.norm_hi},
-            "config": asdict(self.config),
+            # the sizes are stored once, in the arch that save_checkpoint adds
+            "config": {k: v for k, v in asdict(self.config).items() if k not in dn.ARCH_KEYS},
         }
         dn.save_checkpoint(path, self.params, header)
 
@@ -88,11 +89,8 @@ class Checkpoint:
     def load(path) -> "Checkpoint":
         params, header = dn.load_checkpoint(path)
         lo, hi = read_norm(header["norm"], "checkpoint")
-        config = TrainConfig.from_json(header["config"])  # the file stores no schedule
-        arch = params.arch()
-        for key in dn.ARCH_KEYS:  # n_mels and cond_dim come from the data, not the config
-            if getattr(config, key, arch[key]) != arch[key]:
-                raise ValueError(f"checkpoint config {key} {getattr(config, key)} is not its arch's {arch[key]}")
+        # the file stores no schedule; an older file's config sizes give way to its arch
+        config = TrainConfig.from_json({**header["config"], **params.arch()})
         return Checkpoint(
             params=params,
             schedule=make_schedule(config.schedule_T, config.beta_min, config.beta_max),
@@ -281,36 +279,31 @@ def make_predictor(ckpt: Checkpoint, prepared: PreparedSample):
     return predict
 
 
-def sample_prepared(ckpt: Checkpoint, prepared: PreparedSample, steps: int, seed: int) -> np.ndarray:
-    """Sample one prepared item at ``steps`` respaced steps, x0 clipped to CLIP_RANGE.
+def sample_item(
+    ckpt: Checkpoint, dataset: SynthDataset, i: int, steps: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample item ``i`` of ``dataset`` at ``steps`` respaced steps, x0
+    clipped to CLIP_RANGE; returns it with the item's ground truth, both
+    F x T in the checkpoint's normalized log-mel domain.
 
-    The output has the ground truth's F x T shape, in the checkpoint's
-    normalized log-mel domain.
-    """
-    predictor = make_predictor(ckpt, prepared)
-    return sample(predictor, prepared.gt.shape, ckpt.schedule, steps, seed, clip=CLIP_RANGE)
-
-
-def gt_in_checkpoint_norm(ckpt: Checkpoint, dataset: SynthDataset, sample_: SynthSample) -> np.ndarray:
-    """The ground truth of ``sample_`` (an item of ``dataset``) in the
-    checkpoint's normalization, the domain ``sample_prepared`` outputs.
-
+    The item is prepared with the checkpoint's config and normalization.
     Ground truths carry their own dataset's normalization, so a held-out
     dataset's are remapped; when the two agree the stored array is
     returned as it is.
     """
+    item = dataset[i]
+    prepared = prepare_sample(item, ckpt.config, ckpt.norm_lo, ckpt.norm_hi)
+    x0 = sample(make_predictor(ckpt, prepared), prepared.gt.shape, ckpt.schedule, steps, seed, clip=CLIP_RANGE)
     if (dataset.norm_lo, dataset.norm_hi) == (ckpt.norm_lo, ckpt.norm_hi):
-        return sample_.gt_mel.data
-    gt_log = denormalize_log_mel(sample_.gt_mel, dataset.norm_lo, dataset.norm_hi)
-    return normalize_log_mel(gt_log, ckpt.norm_lo, ckpt.norm_hi).data
+        return x0, item.gt_mel.data
+    gt_log = denormalize_log_mel(item.gt_mel, dataset.norm_lo, dataset.norm_hi)
+    return x0, normalize_log_mel(gt_log, ckpt.norm_lo, ckpt.norm_hi).data
 
 
 def evaluate(ckpt: Checkpoint, dataset: SynthDataset, steps: int, seed: int = 0) -> Metrics:
     """Sample every item and accumulate region / non-region squared error.
 
-    Item i is prepared with the checkpoint's normalization and the
-    default ``TransitionConfig``, drawn by ``sample_prepared`` with seed
-    ``seed + i``, and compared with ``gt_in_checkpoint_norm``, so
+    Item i is drawn by ``sample_item`` with seed ``seed + i``, so
     held-out datasets are scored in the domain the model samples in.
     """
     sq_region = 0.0
@@ -318,9 +311,8 @@ def evaluate(ckpt: Checkpoint, dataset: SynthDataset, steps: int, seed: int = 0)
     n_region = 0
     n_nonregion = 0
     for i, sample_ in enumerate(dataset):
-        prepared = prepare_sample(sample_, ckpt.config, ckpt.norm_lo, ckpt.norm_hi)
-        x0_hat = sample_prepared(ckpt, prepared, steps, seed + i)
-        sq = (x0_hat - gt_in_checkpoint_norm(ckpt, dataset, sample_)) ** 2
+        x0_hat, gt = sample_item(ckpt, dataset, i, steps, seed + i)
+        sq = (x0_hat - gt) ** 2
         mask = sample_.true_regions.covers()
         sq_region += float(sq[:, mask].sum())
         sq_nonregion += float(sq[:, ~mask].sum())

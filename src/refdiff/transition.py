@@ -8,8 +8,8 @@ shows as a short bump of the ratio above its mean, so a rise followed
 by a fall at most 2w frames later is one transition at the bump's
 midpoint; any other crossing is a transition at its own frame.  A
 window of ``w`` frames around each transition becomes a transition
-region; regions drive both the reference blur and the training loss
-weights.
+region, and the region set keeps the transitions it was built around;
+regions drive both the reference blur and the training loss weights.
 
 Summations and the uniform smoother accumulate in plain index order so
 their outputs are bit-reproducible against naive loop implementations.
@@ -38,14 +38,21 @@ class EnergyRatioSeries:
 
 @dataclass(frozen=True)
 class TransitionRegionSet:
-    """Sorted, merged frame intervals [start, end) marking transitions."""
+    """Sorted, merged frame intervals [start, end) marking transitions,
+    and the sorted transition frames they were built around."""
 
     regions: tuple[tuple[int, int], ...]
-    window: int
+    points: tuple[int, ...]
     total_frames: int
 
     def __post_init__(self):
+        points = tuple(int(p) for p in self.points)
+        if any(points[i] > points[i + 1] for i in range(len(points) - 1)):
+            raise ValueError("points must be sorted")
+        if any(not (0 <= p < self.total_frames) for p in points):
+            raise ValueError("points must lie in [0, total_frames)")
         regions = tuple((int(s), int(e)) for s, e in self.regions)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "regions", regions)
         prev_end = -1
         for start, end in regions:
@@ -174,11 +181,7 @@ def build_regions(points, w: int, total_frames: int) -> TransitionRegionSet:
     """
     if w < 1:
         raise ValueError("w must be >= 1")
-    points = list(points)
-    if any(points[i] > points[i + 1] for i in range(len(points) - 1)):
-        raise ValueError("points must be sorted")
-    if any(not (0 <= p < total_frames) for p in points):
-        raise ValueError("points must lie in [0, total_frames)")
+    points = tuple(points)
     half_left = w // 2
     half_right = w - half_left
     merged: list[list[int]] = []
@@ -189,9 +192,7 @@ def build_regions(points, w: int, total_frames: int) -> TransitionRegionSet:
             merged[-1][1] = max(merged[-1][1], end)
         else:
             merged.append([start, end])
-    return TransitionRegionSet(
-        regions=tuple((s, e) for s, e in merged), window=w, total_frames=total_frames
-    )
+    return TransitionRegionSet(regions=merged, points=points, total_frames=total_frames)
 
 
 def blur_regions(mel: MelSpectrogram, regions: TransitionRegionSet, taps: np.ndarray) -> MelSpectrogram:
@@ -228,20 +229,13 @@ def analyze(
     return series, regions
 
 
-def region_report(
-    series: EnergyRatioSeries,
-    regions: TransitionRegionSet,
-    hop: int,
-    cfg: TransitionConfig,
-    lambda_in: float,
-) -> dict:
+def region_report(regions: TransitionRegionSet, hop: int, cfg: TransitionConfig, lambda_in: float) -> dict:
     """JSON-ready transition report matching the CLI schema; ``points``
     are the transition centres the regions are built around."""
-    points = transition_centres(series, cfg.window_w)
     return {
         "total_frames": regions.total_frames,
         "hop": hop,
-        "points": [int(p) for p in points],
+        "points": list(regions.points),
         "regions": [[int(s), int(e)] for s, e in regions.regions],
         "params": {
             "k": cfg.smooth_k,

@@ -448,6 +448,14 @@ class TestBlur:
         assert code == 2
 
 
+# A complete region report for write_two_note_mels' 80 frames, its
+# points field to be filled in.
+REPORT = (
+    '{"total_frames": 80, "hop": 128, "points": %s, "regions": %s, '
+    '"params": {"k": 9, "w": 8, "eps": 1e-06, "lambda": 2.0}}'
+)
+
+
 class TestBlurRegionReportShape:
     """A region report that is JSON of the wrong shape is an input error."""
 
@@ -455,20 +463,24 @@ class TestBlurRegionReportShape:
         "text",
         [
             "[]",
-            '{"regions": [], "params": null}',
-            '{"regions": [], "params": {"w": null}}',
-            '{"regions": null, "params": {"w": 8}}',
+            '{"regions": null, "points": [40]}',
             "[" * 100_000,
-            '{"regions": [], "params": {"w": 1e999}}',
-            # a bound or window that is not an integer is not rounded to one
-            '{"regions": [[1.7, 5]], "params": {"w": 8}}',
-            '{"regions": [["3", "5"]], "params": {"w": 8}}',
-            '{"regions": [[false, true]], "params": {"w": 8}}',
-            '{"regions": [], "params": {"w": 2.5}}',
+            # a bound or point that is not an integer is not rounded to one
+            REPORT % ("[40]", "[[1.7, 5]]"),
+            REPORT % ("[40]", '[["3", "5"]]'),
+            REPORT % ("[40]", "[[false, true]]"),
+            REPORT.replace('"points": %s, ', "") % "[[36, 44]]",
+            REPORT % ("null", "[[36, 44]]"),
+            REPORT % ("[1e999]", "[[36, 44]]"),
+            REPORT % ("[40.0]", "[[36, 44]]"),
+            REPORT % ('["40"]', "[[36, 44]]"),
+            REPORT % ("[40, 20]", "[[16, 24], [36, 44]]"),
+            REPORT % ("[80]", "[[76, 80]]"),
         ],
         ids=[
-            "top_level_list", "params_null", "w_null", "regions_null", "deep_nesting", "w_inf",
-            "float_bound", "string_bounds", "bool_bounds", "float_w",
+            "top_level_list", "regions_null", "deep_nesting", "float_bound", "string_bounds", "bool_bounds",
+            "points_missing", "points_null", "points_inf", "float_point", "string_point", "unsorted_points",
+            "point_out_of_range",
         ],
     )
     def test_exit2(self, tmp_path, capsys, text):
@@ -714,6 +726,25 @@ class TestTrainCmd:
         assert "ref must be linear-domain" in err
 
 
+    def test_one_bin_manifest_exit2(self, tmp_path, capsys):
+        # the detector needs a low and a high band; a one-bin dataset is a
+        # bad input file, rejected when the manifest loads
+        synthgen.write_dataset(synthgen.make_dataset(2, 1), tmp_path)
+        manifest = tmp_path / "manifest.jsonl"
+        for mels in tmp_path.glob("*.mels"):
+            mel = dsp.read_mels(mels)
+            dsp.write_mels(mels, dataclasses.replace(mel, data=mel.data[:1]))
+        header, *records = manifest.read_text().splitlines()
+        header = json.loads(header)
+        header["config"]["n_mels"] = 1
+        manifest.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
+        code, out, err = run_cli(capsys, "train", str(cfg), str(manifest), "--out", str(tmp_path))
+        assert_one_line_input_error(code, out, err)
+        assert "n_mels" in err
+
+
 class TestSampleCmd:
     def test_deterministic_output(self, trained, dataset_dir, tmp_path, capsys):
         ckpt_path, _ = trained
@@ -841,13 +872,16 @@ class TestEvalCmd:
         assert "norm" in err
 
     @pytest.mark.parametrize("key", ["hidden", "depth", "step_dim", "kernel"])
-    def test_config_contradicting_arch_exit2(self, trained, dataset_dir, tmp_path, capsys, key):
-        # the parameters are shaped by the arch; a config that disagrees
-        # with it would describe another network than the one that runs
+    def test_config_sizes_give_way_to_arch(self, trained, dataset_dir, tmp_path, capsys, key):
+        # files whose config still carries the sizes load, and the arch
+        # that shapes the parameters wins, even over a size that disagrees
         blob = self._edit_header(trained[0].read_bytes(), lambda h: h["config"].update({key: h["arch"][key] + 2}))
-        code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
-        assert_one_line_input_error(code, out, err)
-        assert key in err
+        path = tmp_path / "older.rdck"
+        path.write_bytes(blob)
+        args = (str(dataset_dir / "manifest.jsonl"), "--steps", "3", "--json")
+        edited = run_cli(capsys, "eval", str(path), *args)
+        assert edited == run_cli(capsys, "eval", str(trained[0]), *args)
+        assert edited[0] == 0
 
     def test_non_finite_parameter_exit2(self, trained, dataset_dir, tmp_path, capsys):
         # the last block, cond.b, has hidden = 8 values

@@ -8,7 +8,7 @@ from refdiff.transition import TransitionRegionSet, weight_map
 
 
 def ones_weights(shape):
-    regions = TransitionRegionSet(regions=(), window=1, total_frames=shape[1])
+    regions = TransitionRegionSet(regions=(), points=(), total_frames=shape[1])
     return weight_map(regions, shape[0], 1.0).data
 
 
@@ -340,7 +340,7 @@ class TestWeightedEpsLoss:
     def test_hand_computed_2x2(self):
         eps = np.array([[1.0, 0.0], [2.0, 1.0]])
         eps_hat = np.array([[0.0, 0.0], [1.0, 3.0]])
-        regions = TransitionRegionSet(regions=(), window=1, total_frames=2)
+        regions = TransitionRegionSet(regions=(), points=(), total_frames=2)
         w = weight_map(regions, 2, 1.0).data
         w[1, :] = 2.0
         # sum w = 6; sum w*(d^2) = 1*1 + 1*0 + 2*1 + 2*4 = 11
@@ -351,7 +351,7 @@ class TestWeightedEpsLoss:
         rng = np.random.default_rng(6)
         eps = rng.standard_normal((2, 2))
         eps_hat = rng.standard_normal((2, 2))
-        regions = TransitionRegionSet(regions=((1, 2),), window=1, total_frames=2)
+        regions = TransitionRegionSet(regions=((1, 2),), points=(1,), total_frames=2)
         w = weight_map(regions, 2, 2.0).data
         _, grad = diffusion.weighted_eps_loss(eps, eps_hat, w)
         h = 1e-6
@@ -370,7 +370,7 @@ class TestWeightedEpsLoss:
         rng = np.random.default_rng(7)
         eps = rng.standard_normal((2, 4))
         eps_hat = rng.standard_normal((2, 4))
-        regions = TransitionRegionSet(regions=((0, 2),), window=2, total_frames=4)
+        regions = TransitionRegionSet(regions=((0, 2),), points=(1,), total_frames=4)
         ratios = []
         for lam in (1.0, 2.0, 4.0):
             w = weight_map(regions, 2, lam).data

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from refdiff import denoiser, diffusion, dsp, synthgen, trainer, transition
+from refdiff import cli, denoiser, diffusion, dsp, synthgen, trainer, transition
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -74,14 +74,22 @@ def test_train_and_dataset_configs_share_no_field():
     assert train & dataset == set()
 
 
-def test_checkpoint_header_stores_no_schedule(tmp_path):
-    # the schedule is rebuilt from the config on load
+def saved_header(path) -> dict:
     config = trainer.TrainConfig(hidden=2, depth=1, step_dim=2, schedule_T=10)
     params = denoiser.init_params(n_mels=2, hidden=2, depth=1, step_dim=2)
     schedule = diffusion.make_schedule(config.schedule_T, config.beta_min, config.beta_max)
-    trainer.Checkpoint(params, schedule, -1.0, 1.0, config).save(tmp_path / "m.rdck")
-    _, header = denoiser.load_checkpoint(tmp_path / "m.rdck")
-    assert set(header) == {"arch", "config", "norm"}
+    trainer.Checkpoint(params, schedule, -1.0, 1.0, config).save(path)
+    return denoiser.load_checkpoint(path)[1]
+
+
+def test_checkpoint_header_stores_no_schedule(tmp_path):
+    # the schedule is rebuilt from the config on load
+    assert set(saved_header(tmp_path / "m.rdck")) == {"arch", "config", "norm"}
+
+
+def test_checkpoint_header_stores_each_size_once(tmp_path):
+    # the sizes live in the arch; the config's copy could disagree with it
+    assert set(saved_header(tmp_path / "m.rdck")["config"]).isdisjoint(denoiser.ARCH_KEYS)
 
 
 def test_each_fact_has_one_home():
@@ -105,4 +113,12 @@ def test_each_fact_has_one_home():
         assert [n for n in names if params[n].default is not inspect.Parameter.empty] == [], fn.__name__
     defaults = synthgen.DatasetConfig()
     assert (defaults.hop, defaults.n_mels) == (dsp.MelConfig.hop, dsp.MelConfig.n_mels)
+    kernel = inspect.signature(dsp.gaussian_kernel).parameters
+    blur = cli.build_parser().parse_args(["blur", "in.mels", "out.mels"])
+    assert (blur.kernel_size, blur.sigma) == (kernel["size"].default, kernel["sigma"].default)
     assert not hasattr(synthgen, "normalize_f0") and not hasattr(trainer.TrainConfig, "to_json")
+    # regions carry the centres they were built around, and one function samples an item
+    regions = [f.name for f in dataclasses.fields(transition.TransitionRegionSet)]
+    assert regions == ["regions", "points", "total_frames"]
+    assert "series" not in inspect.signature(transition.region_report).parameters
+    assert not hasattr(trainer, "sample_prepared") and not hasattr(trainer, "gt_in_checkpoint_norm")

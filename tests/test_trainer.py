@@ -268,7 +268,6 @@ class TestEvaluate:
         # so sampling must reach it, by that name, at every visited step
         cfg = tiny_train_config(total_steps=2)
         ckpt, _ = trainer.train(cfg, small_dataset)
-        prepared = trainer.prepare_sample(small_dataset[0], cfg, ckpt.norm_lo, ckpt.norm_hi)
         visited = []
         forward = dn.denoiser_forward
 
@@ -277,7 +276,7 @@ class TestEvaluate:
             return forward(params, x_t, t, *args, **kwargs)
 
         monkeypatch.setattr(dn, "denoiser_forward", counting_forward)
-        trainer.sample_prepared(ckpt, prepared, steps, seed=0)
+        trainer.sample_item(ckpt, small_dataset, 0, steps, seed=0)
         assert visited == [int(t) for t in diffusion.sampling_steps(ckpt.schedule, steps)]
 
 

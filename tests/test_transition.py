@@ -258,6 +258,13 @@ class TestBuildRegions:
         with pytest.raises(ValueError):
             transition.build_regions([5, 3], 4, 10)
 
+    def test_region_set_checks_its_points_first(self):
+        # a region report's points are checked as build_regions' are,
+        # before its (here out-of-bounds) regions
+        for points in ((5, 3), (-1,), (10,)):
+            with pytest.raises(ValueError, match="points"):
+                transition.TransitionRegionSet(regions=((0, 99),), points=points, total_frames=10)
+
     def test_disjoint_after_merge(self):
         rset = transition.build_regions([1, 2, 3, 9, 40], 6, 50)
         ends = [e for _, e in rset.regions]
@@ -269,7 +276,7 @@ class TestBlurRegions:
     def test_empty_region_set_identity(self):
         rng = np.random.default_rng(5)
         mel = linear_mel(rng.uniform(0, 1, (6, 10)))
-        empty = transition.TransitionRegionSet(regions=(), window=4, total_frames=10)
+        empty = transition.TransitionRegionSet(regions=(), points=(), total_frames=10)
         out = transition.blur_regions(mel, empty, dsp.gaussian_kernel(5, 1.0))
         assert np.array_equal(out.data, mel.data)
 
@@ -303,17 +310,17 @@ class TestBlurRegions:
 
 class TestWeightMap:
     def test_no_regions_all_ones(self):
-        empty = transition.TransitionRegionSet(regions=(), window=4, total_frames=6)
+        empty = transition.TransitionRegionSet(regions=(), points=(), total_frames=6)
         wm = transition.weight_map(empty, 3, 2.0)
         assert np.all(wm.data == 1.0)
 
     def test_full_coverage(self):
-        rset = transition.TransitionRegionSet(regions=((0, 6),), window=4, total_frames=6)
+        rset = transition.TransitionRegionSet(regions=((0, 6),), points=(2, 4), total_frames=6)
         wm = transition.weight_map(rset, 3, 2.0)
         assert np.all(wm.data == 2.0)
 
     def test_columns(self):
-        rset = transition.TransitionRegionSet(regions=((3, 5),), window=2, total_frames=6)
+        rset = transition.TransitionRegionSet(regions=((3, 5),), points=(4,), total_frames=6)
         wm = transition.weight_map(rset, 2, 2.0)
         assert np.all(wm.data[:, 3:5] == 2.0)
         assert np.all(np.delete(wm.data, [3, 4], axis=1) == 1.0)
@@ -324,7 +331,7 @@ class TestWeightMap:
         assert transition.weight_map(rset, 2, 3.0).data.mean() > 1.0
 
     def test_lambda_below_one_rejected(self):
-        empty = transition.TransitionRegionSet(regions=(), window=4, total_frames=6)
+        empty = transition.TransitionRegionSet(regions=(), points=(), total_frames=6)
         with pytest.raises(ValueError):
             transition.weight_map(empty, 2, 0.5)
 
@@ -367,6 +374,15 @@ class TestAnalyze:
                 hits += int(any(abs(p - b) <= 8 for p in points))
         assert hits / total >= 0.9
 
+    def test_regions_carry_their_centres(self):
+        # detected regions keep the centres analyze found, oracle regions
+        # the note boundaries
+        for s in synthgen.make_dataset(4, seed=0):
+            for w in (4, 8):
+                series, regions = transition.analyze(s.ref_mel, transition.TransitionConfig(window_w=w))
+                assert regions.points == tuple(transition.transition_centres(series, w))
+            assert s.true_regions.points == tuple(s.score.boundaries())
+
     def test_finite_on_random_input(self):
         rng = np.random.default_rng(7)
         mel = linear_mel(rng.uniform(0, 1, (4, 16)))
@@ -381,7 +397,8 @@ class TestRegionReport:
         mel = linear_mel(np.random.default_rng(0).uniform(0, 1, (8, 40)))
         cfg = transition.TransitionConfig()
         series, regions = transition.analyze(mel, cfg)
-        report = transition.region_report(series, regions, 128, cfg, 2.0)
+        report = transition.region_report(regions, 128, cfg, 2.0)
+        assert report["points"] == transition.transition_centres(series, cfg.window_w)
         assert report["total_frames"] == 40
         assert report["hop"] == 128
         assert report["params"] == {"k": 9, "w": 8, "eps": 1e-6, "lambda": 2.0}
