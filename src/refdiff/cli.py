@@ -135,6 +135,10 @@ def cmd_blur(args) -> int:
 
         def load(path):
             report = _json_file(path)
+            # a report written for another spectrogram would blur frames chosen for that one
+            for field, actual in (("total_frames", mel.n_frames), ("hop", mel.hop)):
+                if synthgen.check_kind(field, report[field], int) != actual:
+                    raise ValueError(f"{field} is {report[field]} but {args.input} has {actual}")
             bound = functools.partial(synthgen.check_kind, "a region bound", kind=int)
             return transition.TransitionRegionSet(
                 regions=tuple(tuple(map(bound, region)) for region in report["regions"]),

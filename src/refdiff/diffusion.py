@@ -1,12 +1,12 @@
 """Denoising-diffusion machinery over spectrogram-shaped arrays.
 
 Forward corruption (both the closed form and the per-step Markov
-kernel), the epsilon-parameterized reverse step with an optional
-clipped-x0 posterior form, an ancestral sampler with optional
-evenly-strided step reduction, and the transition-weighted
-noise-prediction loss.  The sampler knows nothing of conditioning: it
-calls a noise predictor ``predict(x_t, t)`` that closes over the
-reference and score features itself.
+kernel), one reverse step (the posterior mean at the x0 estimate of
+the predicted noise, that estimate optionally clipped), an ancestral
+sampler with optional evenly-strided step reduction, and the
+transition-weighted noise-prediction loss.  The sampler knows nothing
+of conditioning: it calls a noise predictor ``predict(x_t, t)`` that
+closes over the reference and score features itself.
 
 Steps are 1-indexed: t runs over 1..T and betas[t-1] is the variance
 added at step t.  A reverse step jumps from t to an earlier step
@@ -112,44 +112,23 @@ def _alpha_bar(t: int, schedule: NoiseSchedule) -> float:
     return float(schedule.alpha_bars[t - 1]) if t > 0 else 1.0
 
 
-def reverse_mean(
-    x_t: np.ndarray,
-    t: int,
-    eps_hat: np.ndarray,
-    schedule: NoiseSchedule,
-    t_prev: int | None = None,
-) -> np.ndarray:
-    """Posterior mean of the reverse kernel under epsilon prediction:
-
-        mu = (x_t - beta / sqrt(1 - abar_t) * eps_hat) / sqrt(1 - beta)
-
-    with beta = step_beta(t, t_prev); t_prev defaults to t - 1.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    _check_shapes(x_t, eps_hat)
-    beta = step_beta(t, t - 1 if t_prev is None else t_prev, schedule)
-    abar = schedule.alpha_bars[t - 1]
-    return (x_t - beta / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(1.0 - beta)
-
-
-def clipped_posterior_mean(
+def posterior_mean(
     x_t: np.ndarray,
     t: int,
     eps_hat: np.ndarray,
     schedule: NoiseSchedule,
     t_prev: int,
-    clip: tuple[float, float],
+    clip: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Posterior mean of q(x_prev | x_t, x0) at a clipped x0 estimate.
+    """Posterior mean of q(x_prev | x_t, x0) at the x0 estimate of eps_hat:
 
-        x0  = clip((x_t - sqrt(1 - abar_t) eps_hat) / sqrt(abar_t), lo, hi)
+        x0  = (x_t - sqrt(1 - abar_t) eps_hat) / sqrt(abar_t), clipped to ``clip``
         mu  = sqrt(abar_prev) beta / (1 - abar_t) x0
               + sqrt(1 - beta) (1 - abar_prev) / (1 - abar_t) x_t
 
-    Without the clip this equals ``reverse_mean``; the clip keeps an
-    error in eps_hat from being amplified by 1 / sqrt(abar_t) at the
-    noisy end of the chain (the ``clip_denoised`` step of Ho et al.).
+    with beta = step_beta(t, t_prev).  The clip keeps an error in eps_hat
+    from being amplified by 1 / sqrt(abar_t) at the noisy end of the
+    chain (the ``clip_denoised`` step of Ho et al.).
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
@@ -157,7 +136,9 @@ def clipped_posterior_mean(
     beta = step_beta(t, t_prev, schedule)
     abar = schedule.alpha_bars[t - 1]
     abar_prev = _alpha_bar(t_prev, schedule)
-    x0 = np.clip((x_t - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar), clip[0], clip[1])
+    x0 = (x_t - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
+    if clip is not None:
+        x0 = np.clip(x0, clip[0], clip[1])
     return (np.sqrt(abar_prev) * beta / (1.0 - abar)) * x0 + (
         np.sqrt(1.0 - beta) * (1.0 - abar_prev) / (1.0 - abar)
     ) * x_t
@@ -169,18 +150,12 @@ def p_step(
     eps_hat: np.ndarray,
     z: np.ndarray | None,
     schedule: NoiseSchedule,
-    t_prev: int | None = None,
+    t_prev: int,
     clip: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """One ancestral reverse step t -> t_prev with variance step_beta; no noise at t=1.
-
-    ``clip`` switches to the clipped-x0 posterior mean; t_prev defaults to t - 1.
-    """
-    t_prev = t - 1 if t_prev is None else t_prev
-    if clip is None:
-        mean = reverse_mean(x_t, t, eps_hat, schedule, t_prev)
-    else:
-        mean = clipped_posterior_mean(x_t, t, eps_hat, schedule, t_prev, clip)
+    """One ancestral reverse step t -> t_prev: the posterior mean at the
+    (optionally clipped) x0 estimate, plus sqrt(step_beta) z; no noise at t=1."""
+    mean = posterior_mean(x_t, t, eps_hat, schedule, t_prev, clip)
     if t == 1 or z is None:
         return mean
     z = np.asarray(z, dtype=np.float64)
@@ -213,9 +188,9 @@ def sample(
     strided subset of the schedule (all of T..1 when steps == T); each
     jump t -> t_prev uses the variance 1 - abar_t / abar_prev, so a
     strided chain removes the same noise as the full one (the
-    respacing of Nichol & Dhariwal).  With ``clip``
-    every step goes through the x0 estimate clipped to [lo, hi]; without
-    it the step is the plain epsilon form.  Output is a deterministic
+    respacing of Nichol & Dhariwal).  Every step takes the posterior
+    mean at the x0 estimate, clipped to [lo, hi] when ``clip`` is given
+    (see ``posterior_mean``).  Output is a deterministic
     function of (seed, inputs): the generator draws the initial state
     first, then one z per visited step except the last.
     """

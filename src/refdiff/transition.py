@@ -221,9 +221,13 @@ def analyze(
 ) -> tuple[EnergyRatioSeries, TransitionRegionSet]:
     """Full detector: band energies -> ratio -> smoothing -> crossings ->
     transition centres -> regions."""
-    raw = energy_ratio(*band_energies(mel), cfg.eps)
-    smoothed = smooth_ratio(raw, cfg.smooth_k)
-    series = EnergyRatioSeries(raw, smoothed)
+    # a tiny eps over a silent low band can push the ratio, its smoothing
+    # or its mean past float64; that is reported here, not as NaN crossings
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = energy_ratio(*band_energies(mel), cfg.eps)
+        series = EnergyRatioSeries(raw, smooth_ratio(raw, cfg.smooth_k))
+        if not np.isfinite(series.mean):
+            raise ValueError(f"energy ratio overflows float64 at eps={cfg.eps}")
     points = transition_centres(series, cfg.window_w)
     regions = build_regions(points, cfg.window_w, mel.n_frames)
     return series, regions

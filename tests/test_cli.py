@@ -267,6 +267,25 @@ class TestAnalyzeEchoedValues:
         jsonschema.validate(doc, load_schema("region_report.schema.json"))
 
 
+class TestAnalyzeRatioOverflow:
+    """An eps so small that the energy ratio overflows float64 exits 3
+    with one line naming eps, not NaN crossings and an empty report."""
+
+    def test_silent_low_band_tiny_eps_exit3(self, tmp_path, capsys):
+        mels = tmp_path / "gap.mels"
+        data = np.ones((6, 20))
+        data[:3, :10] = 0.0  # the low band is silent in frames 0-9
+        dsp.write_mels(mels, dsp.MelSpectrogram(data=data, hop=128))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "analyze", str(mels), "--eps", "1e-320", "--json")
+        assert caught == []
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "eps=1e-320" in err
+        code, out, _ = run_cli(capsys, "analyze", str(mels), "--json")
+        assert code == 0 and json.loads(out)["points"] == [10]
+
+
 class TestBlurSigma:
     @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
     def test_bad_sigma_exit3(self, tmp_path, capsys, sigma):
@@ -457,13 +476,15 @@ REPORT = (
 
 
 class TestBlurRegionReportShape:
-    """A region report that is JSON of the wrong shape is an input error."""
+    """A region report that is JSON of the wrong shape, or that was
+    written for a spectrogram of another frame count or hop, is an input
+    error."""
 
     @pytest.mark.parametrize(
         "text",
         [
             "[]",
-            '{"regions": null, "points": [40]}',
+            REPORT % ("[40]", "null"),
             "[" * 100_000,
             # a bound or point that is not an integer is not rounded to one
             REPORT % ("[40]", "[[1.7, 5]]"),
@@ -476,11 +497,17 @@ class TestBlurRegionReportShape:
             REPORT % ('["40"]', "[[36, 44]]"),
             REPORT % ("[40, 20]", "[[16, 24], [36, 44]]"),
             REPORT % ("[80]", "[[76, 80]]"),
+            # the two-note spectrogram has 80 frames at hop 128
+            REPORT.replace('"total_frames": 80', '"total_frames": 79') % ("[40]", "[[36, 44]]"),
+            REPORT.replace('"total_frames": 80', '"total_frames": 148') % ("[40]", "[[36, 44]]"),
+            REPORT.replace('"total_frames": 80', '"total_frames": 80.0') % ("[40]", "[[36, 44]]"),
+            REPORT.replace('"hop": 128', '"hop": 64') % ("[40]", "[[36, 44]]"),
+            REPORT.replace('"hop": 128', '"hop": "128"') % ("[40]", "[[36, 44]]"),
         ],
         ids=[
             "top_level_list", "regions_null", "deep_nesting", "float_bound", "string_bounds", "bool_bounds",
             "points_missing", "points_null", "points_inf", "float_point", "string_point", "unsorted_points",
-            "point_out_of_range",
+            "point_out_of_range", "fewer_frames", "more_frames", "float_frames", "other_hop", "string_hop",
         ],
     )
     def test_exit2(self, tmp_path, capsys, text):
@@ -494,6 +521,22 @@ class TestBlurRegionReportShape:
         assert_one_line_input_error(code, out, err)
         assert "bad region report" in err
         assert not (tmp_path / "out.mels").exists()
+
+
+def test_blur_region_report_of_another_file_exit2(tmp_path, capsys):
+    # blurring the regions of a report written for another spectrogram would blur the wrong frames
+    short, longer = tmp_path / "short.mels", tmp_path / "long.mels"
+    write_two_note_mels(short)
+    dsp.write_mels(longer, render_mel(DatasetConfig().score(((220.0, 40), (880.0, 50))), seed=0))
+    code, out, _ = run_cli(capsys, "analyze", str(short), "--json")
+    assert code == 0 and json.loads(out)["regions"]
+    report = tmp_path / "regions.json"
+    report.write_text(out)
+    code, out, err = run_cli(
+        capsys, "blur", str(longer), str(tmp_path / "out.mels"), "--regions", str(report)
+    )
+    assert_one_line_input_error(code, out, err)
+    assert "total_frames is 80" in err and "90" in err
 
 
 class TestManifestIntegerOverflow:

@@ -121,16 +121,18 @@ class TestQStep:
 
 
 class TestReverseMean:
+    """The unclipped posterior mean against the epsilon form it equals."""
+
     def test_zero_eps(self):
         sched = diffusion.make_schedule(10, 1e-3, 0.05)
         x = np.full((2, 2), 2.0)
-        out = diffusion.reverse_mean(x, 5, np.zeros((2, 2)), sched)
+        out = diffusion.posterior_mean(x, 5, np.zeros((2, 2)), sched, 4, clip=None)
         np.testing.assert_allclose(out, x / np.sqrt(1.0 - sched.betas[4]), rtol=1e-15)
 
     def test_small_beta_limit(self):
         sched = diffusion.make_schedule(10, 1e-10, 1e-10)
         x = np.full((2, 2), 2.0)
-        out = diffusion.reverse_mean(x, 5, np.full((2, 2), 0.3), sched)
+        out = diffusion.posterior_mean(x, 5, np.full((2, 2), 0.3), sched, 4, clip=None)
         np.testing.assert_allclose(out, x, atol=1e-4)
 
     def test_algebra_against_independent_evaluation(self):
@@ -140,7 +142,7 @@ class TestReverseMean:
         eps = rng.standard_normal((3, 4))
         for t in (1, 10, 30):
             x_t = diffusion.q_sample(x0, t, eps, sched)
-            got = diffusion.reverse_mean(x_t, t, eps, sched)
+            got = diffusion.posterior_mean(x_t, t, eps, sched, t - 1, clip=None)
             # independent re-derivation from the schedule values
             beta = sched.betas[t - 1]
             abar = sched.alpha_bars[t - 1]
@@ -154,8 +156,8 @@ class TestPStep:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3))
         eps = rng.standard_normal((2, 3))
-        out = diffusion.p_step(x, 5, eps, None, sched)
-        np.testing.assert_array_equal(out, diffusion.reverse_mean(x, 5, eps, sched))
+        out = diffusion.p_step(x, 5, eps, None, sched, 4)
+        np.testing.assert_array_equal(out, diffusion.posterior_mean(x, 5, eps, sched, 4, clip=None))
 
     def test_final_step_ignores_noise(self):
         sched = diffusion.make_schedule(10, 1e-3, 0.05)
@@ -163,15 +165,15 @@ class TestPStep:
         x = rng.standard_normal((2, 3))
         eps = rng.standard_normal((2, 3))
         z = rng.standard_normal((2, 3))
-        out = diffusion.p_step(x, 1, eps, z, sched)
-        np.testing.assert_array_equal(out, diffusion.reverse_mean(x, 1, eps, sched))
+        out = diffusion.p_step(x, 1, eps, z, sched, 0)
+        np.testing.assert_array_equal(out, diffusion.posterior_mean(x, 1, eps, sched, 0, clip=None))
 
     def test_variance_matches_beta(self):
         sched = diffusion.make_schedule(10, 1e-3, 0.05)
         rng = np.random.default_rng(4)
         x = np.full(10_000, 0.4)
         eps = np.zeros(10_000)
-        out = diffusion.p_step(x, 6, eps, rng.standard_normal(10_000), sched)
+        out = diffusion.p_step(x, 6, eps, rng.standard_normal(10_000), sched, 5)
         beta = sched.betas[5]
         assert abs(out.var() - beta) / beta < 0.05
 
@@ -204,7 +206,7 @@ class TestRespacedStep:
         x_t = 2.0 * rng.standard_normal((3, 5))
         eps = rng.standard_normal((3, 5))
         t, t_prev = 80, 76
-        got = diffusion.clipped_posterior_mean(x_t, t, eps, sched, t_prev, (-1.0, 1.0))
+        got = diffusion.posterior_mean(x_t, t, eps, sched, t_prev, clip=(-1.0, 1.0))
         abar, abar_prev = sched.alpha_bars[t - 1], sched.alpha_bars[t_prev - 1]
         beta = 1.0 - abar / abar_prev
         x0 = np.clip((x_t - np.sqrt(1.0 - abar) * eps) / np.sqrt(abar), -1.0, 1.0)
@@ -221,9 +223,24 @@ class TestRespacedStep:
         x_t = rng.standard_normal((2, 4))
         eps = rng.standard_normal((2, 4))
         for t, t_prev in ((100, 96), (40, 39), (1, 0)):
-            wide = diffusion.clipped_posterior_mean(x_t, t, eps, sched, t_prev, (-1e9, 1e9))
-            plain = diffusion.reverse_mean(x_t, t, eps, sched, t_prev)
-            np.testing.assert_allclose(wide, plain, rtol=1e-9, atol=1e-12)
+            got = diffusion.posterior_mean(x_t, t, eps, sched, t_prev, clip=None)
+            # the epsilon form of the same mean, written out independently
+            beta = diffusion.step_beta(t, t_prev, sched)
+            abar = sched.alpha_bars[t - 1]
+            plain = (x_t - beta / np.sqrt(1.0 - abar) * eps) / np.sqrt(1.0 - beta)
+            np.testing.assert_allclose(got, plain, rtol=1e-9, atol=1e-12)
+
+    def test_unclipped_step_is_the_clipped_step_with_infinite_bounds(self):
+        # one formula: without a range the step only skips the clamp
+        sched = diffusion.make_schedule(100, 1e-4, 0.06)
+        rng = np.random.default_rng(15)
+        x_t = rng.standard_normal((3, 5))
+        eps = rng.standard_normal((3, 5))
+        z = rng.standard_normal((3, 5))
+        for t, t_prev in ((100, 99), (40, 39), (2, 1), (100, 96), (57, 52), (5, 1), (1, 0)):
+            plain = diffusion.p_step(x_t, t, eps, z, sched, t_prev, clip=None)
+            wide = diffusion.p_step(x_t, t, eps, z, sched, t_prev, clip=(-np.inf, np.inf))
+            assert plain.tobytes() == wide.tobytes(), (t, t_prev)
 
     def test_clipped_final_step_returns_clipped_x0(self):
         sched = diffusion.make_schedule(10, 1e-3, 0.05)
@@ -258,9 +275,15 @@ class TestSample:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 3))
         for t in range(15, 0, -1):
-            mean = (x - 0.0) / np.sqrt(1.0 - sched.betas[t - 1])
+            beta = sched.betas[t - 1]
+            abar = sched.alpha_bars[t - 1]
+            abar_prev = sched.alpha_bars[t - 2] if t > 1 else 1.0
+            x0 = (x - np.sqrt(1.0 - abar) * 0.0) / np.sqrt(abar)
+            mean = (np.sqrt(abar_prev) * beta / (1.0 - abar)) * x0 + (
+                np.sqrt(1.0 - beta) * (1.0 - abar_prev) / (1.0 - abar)
+            ) * x
             if t > 1:
-                x = mean + np.sqrt(sched.betas[t - 1]) * rng.standard_normal((2, 3))
+                x = mean + np.sqrt(beta) * rng.standard_normal((2, 3))
             else:
                 x = mean
         assert np.array_equal(got, x)

@@ -122,3 +122,6 @@ def test_each_fact_has_one_home():
     assert regions == ["regions", "points", "total_frames"]
     assert "series" not in inspect.signature(transition.region_report).parameters
     assert not hasattr(trainer, "sample_prepared") and not hasattr(trainer, "gt_in_checkpoint_norm")
+    # one reverse step: the posterior mean at the x0 estimate, its previous step always given
+    assert not hasattr(diffusion, "reverse_mean") and not hasattr(diffusion, "clipped_posterior_mean")
+    assert inspect.signature(diffusion.p_step).parameters["t_prev"].default is inspect.Parameter.empty
