@@ -14,7 +14,9 @@ activations needed for an exact manual backward pass; ``grad_check``
 verifies the analytic gradients with central finite differences.
 
 Everything runs in float64 with explicit parameter arrays (no autograd)
-so gradient checks are tight and runs are bit-reproducible.
+so gradient checks are tight and runs are bit-reproducible.  The gate's
+sigmoid is NumPy's 1 / (1 + exp(-b)); where exp(-b) overflows (b below
+about -709.78) it is exactly 0.0, its limit, with no warning.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 ARCH_KEYS = ("n_mels", "hidden", "depth", "cond_dim", "step_dim", "kernel")
 
@@ -281,8 +282,12 @@ def _run_branch(
         pre, windows = _conv_time(h, flat_w, block.conv_b)
         halves = pre.reshape(2, hidden, -1)
         halves += bias
-        ta = np.tanh(pre[:hidden])
-        sb = expit(pre[hidden:])
+        ta = np.tanh(pre[:hidden], out=pre[:hidden])
+        sb = np.negative(pre[hidden:], out=pre[hidden:])  # sigmoid(b) = 1 / (1 + exp(-b)), in place
+        with np.errstate(over="ignore"):  # exp(-b) = inf makes sigmoid(b) exactly 0.0, its limit
+            np.exp(sb, out=sb)
+        sb += 1.0
+        np.reciprocal(sb, out=sb)
         g = ta * sb
         trace.windows.append(windows)
         trace.flat_w.append(flat_w)

@@ -1,6 +1,7 @@
 """Noise-predictor forward/backward against hand unrolls and finite differences."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,54 @@ class TestBackward:
         grads = dn.backward(params, trace, np.ones_like(eps_hat))
         assert np.all(grads.ref.in_w == 0.0)
         assert np.abs(grads.denoise.in_w).max() > 0.0
+
+
+class TestGateSigmoid:
+    """The gate's NumPy sigmoid against scipy's ``expit`` (the test's oracle
+    only) and at inputs where exp(-b) overflows."""
+
+    @staticmethod
+    def identity_gate_params():
+        # both gate halves of both branches see the input itself: 1 mel,
+        # hidden 1, kernel 1, unit input and conv weights, no bias
+        params = dn.init_params(n_mels=1, hidden=1, depth=1, cond_dim=1, step_dim=2, kernel=1)
+        params.flat[:] = 0.0
+        for branch in (params.denoise, params.ref):
+            branch.in_w[...] = 1.0
+            branch.blocks[0].conv_w[...] = 1.0
+        # small enough that an input of 1e308 keeps every output finite
+        params.zero_w[0][...] = 0.25
+        params.out_w[...] = 0.5
+        return params
+
+    def test_matches_scipy_expit(self):
+        from scipy.special import expit
+
+        x = np.linspace(-750.0, 750.0, 300001)
+        trace = dn.ForwardTrace()
+        dn.reference_forward(self.identity_gate_params(), x[None], np.zeros((1, x.size)), trace=trace)
+        sig, want = trace.ref.sig_b[0][0], expit(x)
+        # both lie in [0, 1], where bit patterns order like the values.
+        # Measured: 1.8% of points differ, 1,191 by 2 ulp and one (x = -37.03)
+        # by 3, where the two sit about 2 ulp either side of the exact value
+        ulps = np.abs(sig.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 3
+        assert np.abs(sig - want).max() <= 2.3e-16
+
+    @pytest.mark.parametrize("b", [710.0, -710.0, 1e4, -1e4, 1e308, -1e308])
+    def test_saturates_without_warnings(self, b):
+        params = self.identity_gate_params()
+        x, cond = np.array([[b]]), np.zeros((1, 1))
+        trace = dn.ForwardTrace()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hiddens = dn.reference_forward(params, x, cond, trace=trace)
+            eps_hat, trace = dn.denoiser_forward(params, x, 1, cond, hiddens, trace=trace)
+            grads = dn.backward(params, trace, np.ones_like(eps_hat))
+        assert all(np.isfinite(h).all() for h in hiddens)
+        assert np.isfinite(eps_hat).all() and np.isfinite(grads.flat).all()
+        limit = 1.0 if b > 0 else 0.0
+        assert trace.ref.sig_b[0][0, 0] == limit and trace.den.sig_b[0][0, 0] == limit
 
 
 class TestCheckpointFormat:

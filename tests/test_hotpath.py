@@ -59,14 +59,14 @@ def ref_conv_time_backward(d_out, windows, w):
 
 
 def ref_branch(branch, x, bias, injections, H):
-    from scipy.special import expit
-
     tr = {"x": x, "h": [branch.in_w @ x + branch.in_b[:, None]], "win": [], "ta": [], "sb": []}
     for i, block in enumerate(branch.blocks):
         pre, windows = ref_conv_time(tr["h"][-1], block.conv_w, block.conv_b)
         pre[:H] += bias
         pre[H:] += bias
-        ta, sb = np.tanh(pre[:H]), expit(pre[H:])
+        ta = np.tanh(pre[:H])
+        with np.errstate(over="ignore"):
+            sb = 1.0 / (1.0 + np.exp(-pre[H:]))
         g = ta * sb
         if injections is not None:
             g = g + injections[i]
