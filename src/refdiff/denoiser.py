@@ -9,9 +9,13 @@ nothing until training moves those weights.  The output projection
 predicts the noise on top of an identity skip from the input,
 eps_hat = out_w h_L + out_b + x_t, so x_t reaches the output without
 passing the H-channel bottleneck; the skip has no parameters and its
-gradient does not reach any.  Forward passes record the
-activations needed for an exact manual backward pass; ``grad_check``
-verifies the analytic gradients with central finite differences.
+gradient does not reach any.  Forward passes record the activations an
+exact manual backward pass needs: per branch its input, every block's
+input hidden state and gate halves tanh(a) and sigmoid(b).  A block's
+K*H x T convolution window matrix is not recorded: it is a shifted copy
+of the block's input, and backward builds it again from that.
+``grad_check`` verifies the analytic gradients with central finite
+differences.
 
 Everything runs in float64 with explicit parameter arrays (no autograd)
 so gradient checks are tight and runs are bit-reproducible.  The gate's
@@ -185,9 +189,10 @@ def zero_grads(params: DenoiserParams) -> DenoiserParams:
 
 @dataclass
 class _BranchTrace:
+    # kept per block: its input hiddens[i], flattened weights and gate
+    # halves; not its window matrix, which backward builds from hiddens[i]
     x_in: np.ndarray
     hiddens: list[np.ndarray] = field(default_factory=list)  # h0..hL
-    windows: list[np.ndarray] = field(default_factory=list)  # conv input windows
     flat_w: list[np.ndarray] = field(default_factory=list)  # conv weights as (2H, K*H)
     tanh_a: list[np.ndarray] = field(default_factory=list)
     sig_b: list[np.ndarray] = field(default_factory=list)
@@ -216,14 +221,25 @@ def _window_shifts(k: int, T: int):
     """Row block j of a K-tap 'same' window matrix over T frames holds the
     input shifted by j - (K-1)/2 frames, zero where that runs off either end.
 
-    Yields (j, the columns of block j that hold input frames, those frames).
+    Yields (j, shift, lo, hi) for each block that holds any input frame:
+    its columns lo..hi-1 hold input frames lo+shift..hi+shift-1.
     """
     radius = (k - 1) // 2
     for j in range(k):
         shift = j - radius
         lo, hi = max(0, -shift), min(T, T - shift)
         if lo < hi:
-            yield j, slice(lo, hi), slice(lo + shift, hi + shift)
+            yield j, shift, lo, hi
+
+
+def _conv_windows(h: np.ndarray, k: int) -> np.ndarray:
+    """The (K*C_in, T) sliding-window matrix of a K-tap 'same' convolution
+    over ``h`` (C_in, T)."""
+    c_in, T = h.shape
+    windows = np.zeros((k * c_in, T))
+    for j, shift, lo, hi in _window_shifts(k, T):
+        windows[j * c_in : (j + 1) * c_in, lo:hi] = h[:, lo + shift : hi + shift]
+    return windows
 
 
 def _conv_time(
@@ -232,13 +248,10 @@ def _conv_time(
     """Zero-padded 'same' convolution along the time axis.
 
     Evaluated as one matmul of the flattened weights (see ``_flatten_conv``)
-    over a (K*C_in, T) sliding-window matrix; the window matrix is
-    returned for reuse in the backward pass.
+    over the (K*C_in, T) window matrix of ``_conv_windows``, which is
+    returned with the output.
     """
-    c_in, T = h.shape
-    windows = np.zeros((flat_w.shape[1], T))
-    for j, cols, frames in _window_shifts(flat_w.shape[1] // c_in, T):
-        windows[j * c_in : (j + 1) * c_in, cols] = h[:, frames]
+    windows = _conv_windows(h, flat_w.shape[1] // h.shape[0])
     out = flat_w @ windows
     out += b[:, None]
     return out, windows
@@ -250,12 +263,22 @@ def _conv_time_backward(
     """Add the weight and bias gradients into ``d_w`` (C_out, C_in, K) and
     ``d_b``; return the gradient of the convolution's input."""
     c_out, c_in, k = d_w.shape
+    T = d_out.shape[1]
     d_w += (d_out @ windows.T).reshape(c_out, k, c_in).transpose(0, 2, 1)
     d_b += d_out.sum(axis=1)
     d_windows = flat_w.T @ d_out
-    d_h = np.zeros((c_in, d_out.shape[1]))
-    for j, cols, frames in _window_shifts(k, d_out.shape[1]):
-        d_h[:, frames] += d_windows[j * c_in : (j + 1) * c_in, cols]
+    d_h = np.zeros((c_in, T))
+    d_h_flat = d_h.reshape(-1)
+    n = d_h.size
+    # flattened, block j's entries lo..n-T+hi-1 land shifted by ``shift`` in
+    # d_h as one contiguous add; its other columns would wrap into the next
+    # or previous row, so they are zeroed first (d_windows is a temporary),
+    # and as d_h starts at +0.0, adding those zeros changes no bit
+    for j, shift, lo, hi in _window_shifts(k, T):
+        rows = d_windows[j * c_in : (j + 1) * c_in]
+        rows[:, :lo] = 0.0
+        rows[:, hi:] = 0.0
+        d_h_flat[lo + shift : n - T + hi + shift] += rows.reshape(-1)[lo : n - T + hi]
     return d_h
 
 
@@ -279,7 +302,7 @@ def _run_branch(
     trace.hiddens.append(h)
     for i, block in enumerate(branch.blocks):
         flat_w = _flatten_conv(block.conv_w)
-        pre, windows = _conv_time(h, flat_w, block.conv_b)
+        pre, _ = _conv_time(h, flat_w, block.conv_b)
         halves = pre.reshape(2, hidden, -1)
         halves += bias
         ta = np.tanh(pre[:hidden], out=pre[:hidden])
@@ -289,7 +312,6 @@ def _run_branch(
         sb += 1.0
         np.reciprocal(sb, out=sb)
         g = ta * sb
-        trace.windows.append(windows)
         trace.flat_w.append(flat_w)
         trace.tanh_a.append(ta)
         trace.sig_b.append(sb)
@@ -413,7 +435,8 @@ def _block_backward(
     d_b *= slope
     d_bias = d_a + d_b
     d_c += d_bias
-    d_in = _conv_time_backward(d_pre, branch.windows[i], branch.flat_w[i], grads.conv_w, grads.conv_b)
+    windows = _conv_windows(branch.hiddens[i], grads.conv_w.shape[2])
+    d_in = _conv_time_backward(d_pre, windows, branch.flat_w[i], grads.conv_w, grads.conv_b)
     d_in += d_h  # the residual add
     return d_in, d_bias
 

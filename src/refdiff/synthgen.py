@@ -301,7 +301,9 @@ def make_dataset(n: int, seed: int, cfg: DatasetConfig = DatasetConfig()) -> Syn
     """Generate n samples, deterministic per (seed, index).
 
     Normalization stats are the min/max of the log-compressed ground
-    truths over the whole dataset.
+    truths over the whole dataset.  Until they are known each item keeps
+    only its log ground truth and linear reference, as many arrays as the
+    dataset returns; the items are then normalized one at a time.
 
     Draw order, part of the seeded contract: item i spawns three
     streams from ``SeedSequence([seed, i])``, in order the score stream
@@ -320,14 +322,14 @@ def make_dataset(n: int, seed: int, cfg: DatasetConfig = DatasetConfig()) -> Syn
         score = random_score(score_rng, cfg)
         gt_linear = render_mel(score, render_rng)
         ref_linear = degrade_reference(gt_linear, score, cfg.degrade_strength, degrade_rng)
-        raw.append((score, gt_linear, ref_linear))
-    log_mels = [log_compress(gt, cfg.log_floor) for _, gt, _ in raw]
-    lo = min(float(m.data.min()) for m in log_mels)
-    hi = max(float(m.data.max()) for m in log_mels)
-    samples = [
-        SynthSample(normalize_log_mel(log_mel, lo, hi), ref_linear, score, cfg)
-        for (score, _, ref_linear), log_mel in zip(raw, log_mels)
-    ]
+        raw.append((score, log_compress(gt_linear, cfg.log_floor), ref_linear))
+    lo = min(float(gt_log.data.min()) for _, gt_log, _ in raw)
+    hi = max(float(gt_log.data.max()) for _, gt_log, _ in raw)
+    samples = []
+    raw.reverse()
+    while raw:  # popped, so each log ground truth is freed once it is normalized
+        score, gt_log, ref_linear = raw.pop()
+        samples.append(SynthSample(normalize_log_mel(gt_log, lo, hi), ref_linear, score, cfg))
     return SynthDataset(samples=samples, norm_lo=lo, norm_hi=hi, cfg=cfg, seed=seed)
 
 

@@ -123,12 +123,22 @@ class TrainHistory:
 
 @dataclass
 class PreparedSample:
-    """Per-sample tensors fixed before the training loop starts."""
+    """Per-sample tensors fixed before the training loop starts.
+
+    The F x T loss weight map is not kept: ``weights`` builds it from the
+    detected regions each time the loss reads it, so a prepared dataset
+    holds no array per item beyond the reference it prepared.
+    """
 
     gt: np.ndarray  # normalized log-mel target (F, T)
     ref_norm: MelSpectrogram  # prepared reference, normalized log domain
     cond: np.ndarray
-    weights: WeightMap
+    regions: TransitionRegionSet  # detected on the reference
+    lambda_in: float  # loss weight inside the regions, 1.0 without weighting
+
+    @property
+    def weights(self) -> WeightMap:
+        return weight_map(self.regions, self.gt.shape[0], self.lambda_in)
 
 
 def prepare_reference(
@@ -162,8 +172,7 @@ def prepare_sample(
 ) -> PreparedSample:
     ref_norm, regions = prepare_reference(sample_.ref_mel, cfg.blur, norm_lo, norm_hi, sample_.cfg.log_floor)
     lam = cfg.lambda_in if cfg.weighting else 1.0
-    weights = weight_map(regions, sample_.gt_mel.n_mels, lam)
-    return PreparedSample(gt=sample_.gt_mel.data, ref_norm=ref_norm, cond=sample_.cond, weights=weights)
+    return PreparedSample(gt=sample_.gt_mel.data, ref_norm=ref_norm, cond=sample_.cond, regions=regions, lambda_in=lam)
 
 
 ADAM_SLICE = 32768  # floats per Adam update: whole-vector temporaries would cost memory and time

@@ -1,5 +1,6 @@
 """Noise-predictor forward/backward against hand unrolls and finite differences."""
 
+import dataclasses
 import struct
 import warnings
 
@@ -289,6 +290,43 @@ class TestBackward:
         grads = dn.backward(params, trace, np.ones_like(eps_hat))
         assert np.all(grads.ref.in_w == 0.0)
         assert np.abs(grads.denoise.in_w).max() > 0.0
+
+
+def trace_arrays(obj):
+    """Every array reachable from a trace: its fields, lists and arrays."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from trace_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from trace_arrays(getattr(obj, f.name))
+
+
+def test_trace_keeps_no_window_matrix():
+    # backward builds each block's K*H x T windows again from its input;
+    # a branch keeps its L+1 hidden states and L (2H, T) gate
+    # pre-activations, 13 H x T arrays at depth 4, where the windows added 12
+    H, L, K, T = 64, 4, 3, 132
+    params = dn.randomize_params(dn.init_params(hidden=H, depth=L, kernel=K), seed=1, scale=0.05)
+    rng = np.random.default_rng(0)
+    x_t, ref_mel = rng.standard_normal((80, T)), rng.standard_normal((80, T))
+    cond = rng.standard_normal((2, T))
+    trace = dn.ForwardTrace()
+    hiddens = dn.reference_forward(params, ref_mel, cond, trace=trace)
+    dn.denoiser_forward(params, x_t, 9, cond, hiddens, trace=trace)
+    assert all(arr.shape[0] != K * H for arr in trace_arrays(trace))
+
+    buffers = {}
+    for branch in (trace.den, trace.ref):
+        for arr in trace_arrays(branch):
+            if np.shares_memory(arr, params.flat) or arr is branch.x_in:
+                continue  # weight views and the caller's input
+            while arr.base is not None:
+                arr = arr.base
+            buffers[id(arr)] = arr
+    assert sum(arr.size for arr in buffers.values()) <= 2 * 13 * H * T
 
 
 class TestGateSigmoid:

@@ -1,5 +1,6 @@
 """Synthetic data factory: determinism, oracle regions, degradation locality."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,20 @@ class TestMakeDataset:
                 total += 1
                 hits += int(any(abs(p - b) <= 8 for p in points))
         assert hits / total >= 0.9
+
+
+    def test_holds_little_beyond_what_it_returns(self):
+        # until the normalization stats are known each item keeps its log
+        # ground truth and reference, the two arrays it returns; keeping
+        # the linear ground truth and the normalized copy too ran to 1.8x
+        tracemalloc.start()
+        try:
+            dataset = synthgen.make_dataset(16, 0)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dataset) == 16
+        assert peak <= 1.25 * live
 
 
 class TestNormalization:
