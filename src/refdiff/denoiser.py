@@ -29,6 +29,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +90,8 @@ class DenoiserParams:
     def named_arrays(self):
         """(name, array) pairs in fixed declaration order.
 
-        This order is the order in which the arrays tile ``flat`` and
-        the checkpoint block layout; do not reorder.
+        This order is the order in which the arrays tile ``flat``, and
+        so the RDCK payload; do not reorder.
         """
         for branch_name, branch in (("denoise", self.denoise), ("ref", self.ref)):
             yield f"{branch_name}.in_w", branch.in_w
@@ -549,19 +550,23 @@ def grad_check(
 
 # --- RDCK checkpoint format ----------------------------------------------
 #
-#   magic "RDCK" | u32 version=2 | u32 header_len | header JSON (utf-8) |
-#   float64 little-endian parameter blocks in named_arrays order
+#   magic "RDCK" | u32 version=3 | u32 header_len | header JSON (utf-8) |
+#   DenoiserParams.flat as float64 little-endian
 #
-# Version 2 added the identity skip to the output; version-1 parameters
-# have the same layout but were trained for a network without it.
+# The payload is the flat vector itself: every array in its stored shape
+# from _shapes, in named_arrays order, so conv weights are (2H, K, H) in C
+# order.  Version 2 had the same values with each conv weight as a
+# (2H, H, K) C-order block, and version 1 had that layout but was trained
+# for a network without the output skip; neither is read.
 
 CHECKPOINT_MAGIC = b"RDCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 MAX_HEADER_BYTES = 1 << 20  # a real header is about 1 kB
 
 
 def save_checkpoint(path, params: DenoiserParams, header: dict) -> None:
-    """Write parameters plus a JSON header describing how to use them."""
+    """Write a JSON header describing how to use the parameters, then
+    ``params.flat`` as the payload, in one write."""
     meta = dict(header)
     meta["arch"] = params.arch()
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -569,8 +574,7 @@ def save_checkpoint(path, params: DenoiserParams, header: dict) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for _, arr in params.named_arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -592,9 +596,12 @@ def _parse_arch(arch) -> dict:
 
 
 def load_checkpoint(path) -> tuple[DenoiserParams, dict]:
-    """Read an RDCK file written by ``save_checkpoint``.
+    """Read an RDCK file written by ``save_checkpoint``: the parameter
+    payload goes with one ``readinto`` into the flat vector of fresh
+    parameters, whose arrays are views into it.
 
-    Any malformed file raises ValueError: a wrong magic or version, a
+    Any malformed file raises ValueError: a wrong magic or a version
+    other than CHECKPOINT_VERSION (versions 1 and 2 included), a
     file that ends inside the fixed fields or the header, a header
     longer than MAX_HEADER_BYTES or not a JSON object, an arch that is
     not six positive integers (the kernel odd), parameter bytes,
@@ -623,8 +630,10 @@ def load_checkpoint(path) -> tuple[DenoiserParams, dict]:
             kind = "truncated" if remaining < needed else "trailing bytes in"
             raise ValueError(f"{kind} checkpoint: {remaining} parameter bytes, its arch needs {needed}")
         params = _zero_params(**arch)
-        for _, arr in params.named_arrays():  # block by block: no second copy of every value
-            arr[...] = np.frombuffer(fh.read(arr.nbytes), dtype="<f8").reshape(arr.shape)
+        if fh.readinto(params.flat) != needed:
+            raise ValueError(f"truncated checkpoint: its arch needs {needed} parameter bytes")
+    if sys.byteorder != "little":
+        params.flat.byteswap(inplace=True)
     if not np.isfinite(params.flat).all():
         raise ValueError(f"checkpoint {path} holds a NaN or infinite parameter value")
     return params, header

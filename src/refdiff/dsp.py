@@ -346,24 +346,47 @@ def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
 def gaussian_blur_2d(
     mel: MelSpectrogram,
     taps: np.ndarray,
-    frame_range: tuple[int, int],
+    *frame_ranges: tuple[int, int],
 ) -> MelSpectrogram:
     """Separable Gaussian blur with ``gaussian_kernel`` taps, restricted
-    to frames [start, end).
+    to each of the sorted, disjoint frame ranges [start, end).
 
-    The selected columns are blurred along time then frequency with
-    reflect padding at both the matrix borders and the range borders;
-    columns outside the range are copied through bit-identically.
+    Each range's columns are blurred along time then frequency with
+    reflect padding at both the matrix borders and that range's own
+    borders, exactly as ``reflect_conv1d`` on those columns alone would;
+    columns outside every range are copied through bit-identically.
+    Raises ValueError on a range out of bounds, empty, or starting before
+    the previous one ends.
+
+    All ranges share one pass: their reflect-padded columns are gathered
+    side by side, the time taps accumulate in tap order over that strip,
+    and one ``reflect_conv1d`` runs along frequency.
     """
-    start, end = frame_range
     T = mel.n_frames
-    if not (0 <= start < end <= T):
-        raise ValueError(f"frame range [{start}, {end}) out of bounds for T={T}")
+    prev_end = 0
+    for start, end in frame_ranges:
+        if not (0 <= start < end <= T):
+            raise ValueError(f"frame range [{start}, {end}) out of bounds for T={T}")
+        if start < prev_end:
+            raise ValueError(f"frame range [{start}, {end}) starts before the previous one ends at {prev_end}")
+        prev_end = end
     out = mel.data.copy()
-    sub = out[:, start:end]
-    sub = reflect_conv1d(sub, taps, axis=1)
-    sub = reflect_conv1d(sub, taps, axis=0)
-    out[:, start:end] = sub
+    if frame_ranges:
+        radius = (len(taps) - 1) // 2
+        padded = [start + reflect_indices(end - start, radius) for start, end in frame_ranges]
+        strip = mel.data[:, np.concatenate(padded)]
+        width = strip.shape[1] - 2 * radius
+        blurred = np.zeros((mel.n_mels, width))
+        for i in range(len(taps)):
+            blurred += taps[i] * strip[:, i : i + width]
+        # column c is centred on strip column c + radius: each range's columns
+        # come out side by side, with the 2 * radius columns that straddle two
+        # ranges between them
+        blurred = reflect_conv1d(blurred, taps, axis=0)
+        offset = 0
+        for start, end in frame_ranges:
+            out[:, start:end] = blurred[:, offset : offset + end - start]
+            offset += end - start + 2 * radius
     return MelSpectrogram(data=out, hop=mel.hop, is_log=mel.is_log)
 
 

@@ -196,14 +196,12 @@ def build_regions(points, w: int, total_frames: int) -> TransitionRegionSet:
 
 
 def blur_regions(mel: MelSpectrogram, regions: TransitionRegionSet, taps: np.ndarray) -> MelSpectrogram:
-    """Gaussian-blur each transition region with ``gaussian_kernel`` taps;
-    other frames pass through bit-identically."""
+    """Gaussian-blur every transition region with ``gaussian_kernel`` taps,
+    each as if on its own, in one ``gaussian_blur_2d`` pass; other frames
+    pass through bit-identically."""
     if regions.total_frames != mel.n_frames:
         raise ValueError("region set frame count does not match spectrogram")
-    out = mel
-    for start, end in regions.regions:
-        out = gaussian_blur_2d(out, taps, (start, end))
-    return out
+    return gaussian_blur_2d(mel, taps, *regions.regions)
 
 
 def weight_map(regions: TransitionRegionSet, n_mels: int, lambda_in: float) -> WeightMap:

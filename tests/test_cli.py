@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from refdiff import cli, diffusion, dsp, synthgen, trainer, transition
+from refdiff import cli, denoiser, diffusion, dsp, synthgen, trainer, transition
 from refdiff.synthgen import DatasetConfig, render_mel
 
 
@@ -869,6 +869,19 @@ class TestEvalCmd:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "version 1" in err
 
+    def test_version2_checkpoint_exit2(self, trained, dataset_dir, tmp_path, capsys):
+        # version 2 holds the same values with each conv weight transposed;
+        # read as version 3 it would run a different network
+        ckpt_path, _ = trained
+        blob = bytearray(ckpt_path.read_bytes())
+        blob[4:8] = (2).to_bytes(4, "little")
+        old = tmp_path / "v2.rdck"
+        old.write_bytes(bytes(blob))
+        code, out, err = run_cli(capsys, "eval", str(old), str(dataset_dir / "manifest.jsonl"))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "version 2" in err
+
     def test_missing_checkpoint_exit2(self, dataset_dir, capsys):
         code, _, _ = run_cli(
             capsys, "eval", "missing.rdck", str(dataset_dir / "manifest.jsonl")
@@ -937,7 +950,7 @@ class TestEvalCmd:
         "header", [b"[" * 100_000, b"[1]", b'{"arch": 5}'], ids=["nested", "array", "arch-int"]
     )
     def test_hostile_header_exit2(self, dataset_dir, tmp_path, capsys, header):
-        blob = b"RDCK" + struct.pack("<II", 2, len(header)) + header
+        blob = b"RDCK" + struct.pack("<II", denoiser.CHECKPOINT_VERSION, len(header)) + header
         assert_one_line_input_error(*self._eval_blob(blob, dataset_dir, tmp_path, capsys))
 
     @pytest.mark.parametrize(

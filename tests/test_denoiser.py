@@ -390,15 +390,16 @@ class TestCheckpointFormat:
         assert header_back["schedule"]["T"] == 10
         assert header_back["arch"]["hidden"] == 3
 
-    def test_parameter_bytes_are_the_arrays_in_c_order(self, tmp_path):
-        # the writer hands each array's buffer to the file; the conv weights
-        # are non-contiguous views and must still land in their C order
+    def test_parameter_bytes_are_the_flat_vector(self, tmp_path):
+        # the payload is params.flat as little-endian float64, conv weights
+        # in their stored (2H, K, H) shape, and nothing follows it
         params = tiny_params(randomize=22)
         path = tmp_path / "m.rdck"
         dn.save_checkpoint(path, params, {})
-        payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for _, a in params.named_arrays())
-        assert path.read_bytes().endswith(payload)
-        assert len(path.read_bytes()) == 12 + struct.unpack("<I", path.read_bytes()[8:12])[0] + len(payload)
+        blob = path.read_bytes()
+        header_len = struct.unpack("<I", blob[8:12])[0]
+        assert len(blob) == 12 + header_len + 8 * params.n_parameters()
+        assert blob[12 + header_len :] == params.flat.astype("<f8").tobytes()
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rdck"

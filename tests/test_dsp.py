@@ -517,6 +517,56 @@ class TestGaussianBlur2d:
             dsp.gaussian_blur_2d(mel, kernel, (0, 6))
 
 
+def per_range_blur(data, taps, ranges):
+    """The per-range loop: copy the whole spectrogram, then blur each range
+    in turn with ``reflect_conv1d`` along time, then frequency."""
+    out = data.copy()
+    for start, end in ranges:
+        sub = out[:, start:end]
+        sub = dsp.reflect_conv1d(sub, taps, axis=1)
+        sub = dsp.reflect_conv1d(sub, taps, axis=0)
+        out[:, start:end] = sub
+    return out
+
+
+class TestMultiRangeBlur:
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            [],
+            [(0, 4)],
+            [(9, 13)],
+            [(0, 4), (9, 13)],
+            [(5, 6)],
+            [(5, 7)],
+            [(0, 1), (2, 4), (11, 13)],
+            [(2, 5), (6, 9)],
+            [(2, 5), (5, 8)],
+            [(0, 13)],
+        ],
+        ids=["none", "at-0", "to-T", "both-ends", "width-1", "width-2", "narrow", "one-apart", "adjacent", "all"],
+    )
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    @pytest.mark.parametrize("is_log", [False, True])
+    def test_bytes_equal_per_range_loop(self, ranges, size, is_log):
+        rng = np.random.default_rng(size)
+        data = rng.uniform(-3.0 if is_log else 0.0, 2.0, (6, 13))
+        mel = dsp.MelSpectrogram(data=data, hop=128, is_log=is_log)
+        taps = dsp.gaussian_kernel(size, 1.0)
+        out = dsp.gaussian_blur_2d(mel, taps, *ranges)
+        assert out.data.tobytes() == per_range_blur(data, taps, ranges).tobytes()
+        assert out.data is not data and out.is_log == is_log and out.hop == 128
+
+    @pytest.mark.parametrize(
+        "ranges", [[(2, 6), (5, 8)], [(6, 8), (2, 4)], [(2, 4), (2, 4)], [(2, 5), (4, 4)]],
+        ids=["overlapping", "unsorted", "repeated", "empty-second"],
+    )
+    def test_overlapping_or_unsorted_ranges_rejected(self, ranges):
+        mel = dsp.MelSpectrogram(data=np.ones((3, 9)), hop=128)
+        with pytest.raises(ValueError):
+            dsp.gaussian_blur_2d(mel, dsp.gaussian_kernel(3, 1.0), *ranges)
+
+
 class TestMelsFormat:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)

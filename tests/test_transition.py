@@ -301,6 +301,20 @@ class TestBlurRegions:
         assert np.array_equal(out.data[:, :start], data[:, :start])
         assert np.array_equal(out.data[:, end:], data[:, end:])
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dataset_bytes_equal_per_region_loop(self, seed):
+        from test_dsp import per_range_blur
+
+        taps = dsp.gaussian_kernel()
+        blurred_any = False
+        for item in synthgen.make_dataset(16, seed):
+            _, rset = transition.analyze(item.ref_mel)
+            blurred_any |= bool(rset.regions)
+            for mel in (item.ref_mel, dsp.log_compress(item.ref_mel, item.cfg.log_floor)):
+                out = transition.blur_regions(mel, rset, taps)
+                assert out.data.tobytes() == per_range_blur(mel.data, taps, rset.regions).tobytes()
+        assert blurred_any
+
     def test_frame_count_mismatch(self):
         mel = linear_mel(np.ones((4, 8)))
         rset = transition.build_regions([3], 4, 9)
