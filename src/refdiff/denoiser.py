@@ -11,9 +11,10 @@ eps_hat = out_w h_L + out_b + x_t, so x_t reaches the output without
 passing the H-channel bottleneck; the skip has no parameters and its
 gradient does not reach any.  Forward passes record the activations an
 exact manual backward pass needs: per branch its input, every block's
-input hidden state and gate halves tanh(a) and sigmoid(b).  A block's
-K*H x T convolution window matrix is not recorded: it is a shifted copy
-of the block's input, and backward builds it again from that.
+input hidden state and gate halves tanh(a) and sigmoid(b).  They record
+no weights, since backward reads every weight from ``params``, and no
+K*H x T convolution window matrix: it is a shifted copy of the block's
+input, and backward builds it again from that.
 ``grad_check`` verifies the analytic gradients with central finite
 differences.
 
@@ -190,11 +191,11 @@ def zero_grads(params: DenoiserParams) -> DenoiserParams:
 
 @dataclass
 class _BranchTrace:
-    # kept per block: its input hiddens[i], flattened weights and gate
-    # halves; not its window matrix, which backward builds from hiddens[i]
+    # activations only, per block its input hiddens[i] and gate halves:
+    # backward reads the weights from params and builds the window matrix
+    # again from hiddens[i]
     x_in: np.ndarray
     hiddens: list[np.ndarray] = field(default_factory=list)  # h0..hL
-    flat_w: list[np.ndarray] = field(default_factory=list)  # conv weights as (2H, K*H)
     tanh_a: list[np.ndarray] = field(default_factory=list)
     sig_b: list[np.ndarray] = field(default_factory=list)
 
@@ -243,21 +244,6 @@ def _conv_windows(h: np.ndarray, k: int) -> np.ndarray:
     return windows
 
 
-def _conv_time(
-    h: np.ndarray, flat_w: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded 'same' convolution along the time axis.
-
-    Evaluated as one matmul of the flattened weights (see ``_flatten_conv``)
-    over the (K*C_in, T) window matrix of ``_conv_windows``, which is
-    returned with the output.
-    """
-    windows = _conv_windows(h, flat_w.shape[1] // h.shape[0])
-    out = flat_w @ windows
-    out += b[:, None]
-    return out, windows
-
-
 def _conv_time_backward(
     d_out: np.ndarray, windows: np.ndarray, flat_w: np.ndarray, d_w: np.ndarray, d_b: np.ndarray
 ) -> np.ndarray:
@@ -302,8 +288,9 @@ def _run_branch(
     h += branch.in_b[:, None]
     trace.hiddens.append(h)
     for i, block in enumerate(branch.blocks):
-        flat_w = _flatten_conv(block.conv_w)
-        pre, _ = _conv_time(h, flat_w, block.conv_b)
+        # the zero-padded 'same' convolution along time, as one matmul
+        pre = _flatten_conv(block.conv_w) @ _conv_windows(h, block.conv_w.shape[2])
+        pre += block.conv_b[:, None]
         halves = pre.reshape(2, hidden, -1)
         halves += bias
         ta = np.tanh(pre[:hidden], out=pre[:hidden])
@@ -313,7 +300,6 @@ def _run_branch(
         sb += 1.0
         np.reciprocal(sb, out=sb)
         g = ta * sb
-        trace.flat_w.append(flat_w)
         trace.tanh_a.append(ta)
         trace.sig_b.append(sb)
         if injections is not None:
@@ -411,9 +397,10 @@ def denoiser_forward(
 
 
 def _block_backward(
-    d_h: np.ndarray, branch: _BranchTrace, i: int, grads: BlockParams, d_c: np.ndarray
+    d_h: np.ndarray, branch: _BranchTrace, i: int, block: BlockParams, grads: BlockParams, d_c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through block i of either branch, mirroring ``_run_branch``.
+    """Backward through block i of either branch, mirroring ``_run_branch``;
+    ``block`` holds that block's parameters.
 
     ``d_h`` is d loss / d the block's output.  Adds the conv gradients
     into ``grads`` and the gradient of the bias that both gate halves
@@ -437,7 +424,7 @@ def _block_backward(
     d_bias = d_a + d_b
     d_c += d_bias
     windows = _conv_windows(branch.hiddens[i], grads.conv_w.shape[2])
-    d_in = _conv_time_backward(d_pre, windows, branch.flat_w[i], grads.conv_w, grads.conv_b)
+    d_in = _conv_time_backward(d_pre, windows, _flatten_conv(block.conv_w), grads.conv_w, grads.conv_b)
     d_in += d_h  # the residual add
     return d_in, d_bias
 
@@ -482,7 +469,7 @@ def backward(
         grads.zero_w[i] += d_h @ trace.ref_hidden[i].T
         grads.zero_b[i] += d_h.sum(axis=1)
         d_ref_hidden[i] = params.zero_w[i].T @ d_h
-        d_h, d_bias = _block_backward(d_h, den, i, grads.denoise.blocks[i], d_c)
+        d_h, d_bias = _block_backward(d_h, den, i, params.denoise.blocks[i], grads.denoise.blocks[i], d_c)
         d_s += d_bias.sum(axis=1)
     grads.denoise.in_w += d_h @ den.x_in.T
     grads.denoise.in_b += d_h.sum(axis=1)
@@ -491,7 +478,7 @@ def backward(
         ref = trace.ref
         d_h = d_ref_hidden[L - 1]
         for i in range(L - 1, -1, -1):
-            d_h, _ = _block_backward(d_h, ref, i, grads.ref.blocks[i], d_c)
+            d_h, _ = _block_backward(d_h, ref, i, params.ref.blocks[i], grads.ref.blocks[i], d_c)
             if i > 0:
                 d_h += d_ref_hidden[i - 1]
         grads.ref.in_w += d_h @ ref.x_in.T

@@ -5,12 +5,14 @@ range-restricted Gaussian blur.  Everything downstream works on the
 ``MelSpectrogram`` container defined here, and the "MELS" binary format
 used by the CLI and dataset tooling lives here too.
 
-All functions are pure: they never mutate their inputs and hold no
-hidden state, so values can be shared freely across threads.
+All functions are pure: they never mutate their inputs, so values can
+be shared freely across threads.  The one state held is a small cache of
+the mel filterbanks ``mel_spectrogram`` has built, each read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -301,16 +303,21 @@ def mel_filterbank(
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
+@functools.lru_cache(maxsize=16)
+def _cached_filterbank(
+    sample_rate: int, n_fft_bins: int, n_mels: int, fmin: float, fmax: float | None
+) -> np.ndarray:
+    """``mel_filterbank`` built once per argument tuple; the array is read-only
+    because every caller shares it."""
+    weights = mel_filterbank(sample_rate, n_fft_bins, n_mels=n_mels, fmin=fmin, fmax=fmax)
+    weights.flags.writeable = False
+    return weights
+
+
 def mel_spectrogram(audio: AudioBuffer, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
     """Linear-domain mel spectrogram: filters from 0 Hz applied to Hann STFT magnitudes."""
     mags = stft_magnitude(audio, frame=cfg.frame, hop=cfg.hop, window="hann")
-    weights = mel_filterbank(
-        audio.sample_rate,
-        n_fft_bins=mags.shape[0],
-        n_mels=cfg.n_mels,
-        fmin=0.0,
-        fmax=cfg.fmax,
-    )
+    weights = _cached_filterbank(audio.sample_rate, mags.shape[0], cfg.n_mels, 0.0, cfg.fmax)
     return MelSpectrogram(data=weights @ mags, hop=cfg.hop, is_log=False)
 
 

@@ -11,8 +11,10 @@ window of ``w`` frames around each transition becomes a transition
 region, and the region set keeps the transitions it was built around;
 regions drive both the reference blur and the training loss weights.
 
-Summations and the uniform smoother accumulate in plain index order so
-their outputs are bit-reproducible against naive loop implementations.
+The band sums add the rows of each band in index order, starting from
++0.0, and the uniform smoother is ``reflect_conv1d`` with unit taps,
+which adds them in tap order, so both are bit-reproducible against naive
+loop implementations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import MelSpectrogram, gaussian_blur_2d, reflect_indices
+from .dsp import MelSpectrogram, gaussian_blur_2d, reflect_conv1d
 
 
 @dataclass(frozen=True)
@@ -95,16 +97,14 @@ def band_energies(mel: MelSpectrogram) -> tuple[np.ndarray, np.ndarray]:
     if mel.is_log:
         raise ValueError("band energies require a linear-domain spectrogram")
     F = mel.data.shape[0]
-    T = mel.data.shape[1]
     if F < 2:
         raise ValueError("need at least two frequency bins")
     split = F // 2
-    low = np.zeros(T)
-    high = np.zeros(T)
-    for f in range(split):
-        low += mel.data[f]
-    for f in range(split, F):
-        high += mel.data[f]
+    # the last running sum adds the rows in index order whatever the layout
+    # or T, where np.add.reduce may sum pairwise; + 0.0 is the +0.0 a loop
+    # starts from, and changes only a band of -0.0 entries (to +0.0)
+    low = np.add.accumulate(mel.data[:split], axis=0)[-1] + 0.0
+    high = np.add.accumulate(mel.data[split:], axis=0)[-1] + 0.0
     return low, high
 
 
@@ -127,13 +127,7 @@ def smooth_ratio(ratio: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("k must be a positive odd integer")
     if k > 2 * T - 1:
         raise ValueError("k must be <= 2T - 1")
-    radius = (k - 1) // 2
-    padded = ratio[reflect_indices(T, radius)]
-    out = np.zeros(T)
-    for i in range(k):
-        out += padded[i : i + T]
-    out /= k
-    return out
+    return reflect_conv1d(ratio, np.ones(k), axis=0) / k
 
 
 def detect_transition_points(series: EnergyRatioSeries) -> list[int]:
@@ -145,8 +139,8 @@ def detect_transition_points(series: EnergyRatioSeries) -> list[int]:
     smoothed = series.smoothed
     if smoothed.size < 2:
         raise ValueError("need at least two frames to detect transitions")
-    signs = np.where(smoothed - series.mean >= 0.0, 1, -1)
-    return [t for t in range(1, signs.size) if signs[t] != signs[t - 1]]
+    above = smoothed - series.mean >= 0.0
+    return (np.flatnonzero(above[1:] != above[:-1]) + 1).tolist()
 
 
 def transition_centres(series: EnergyRatioSeries, w: int) -> list[int]:

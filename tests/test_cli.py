@@ -857,8 +857,8 @@ class TestEvalCmd:
         assert out1 == out2
 
     def test_version1_checkpoint_exit2(self, trained, dataset_dir, tmp_path, capsys):
-        # version 1 has the same layout but no output skip path; loading it
-        # would silently run a different network
+        # version 1 has version 2's layout, not this one's, and no output
+        # skip path; loading it would silently run a different network
         ckpt_path, _ = trained
         blob = bytearray(ckpt_path.read_bytes())
         blob[4:8] = (1).to_bytes(4, "little")

@@ -364,6 +364,22 @@ class TestMelSpectrogram:
         assert np.all(np.isfinite(mel.data))
         assert mel.data.min() >= 0.0
 
+    @pytest.mark.parametrize("cfg", [CFG, dsp.MelConfig()])
+    def test_cached_filterbank_keeps_bytes_and_is_read_only(self, cfg):
+        rng = np.random.default_rng(4)
+        buf = dsp.AudioBuffer(samples=rng.uniform(-1, 1, 4000), sample_rate=16000)
+        mags = dsp.stft_magnitude(buf, frame=cfg.frame, hop=cfg.hop, window="hann")
+        fresh = dsp.mel_filterbank(16000, mags.shape[0], n_mels=cfg.n_mels, fmin=0.0, fmax=cfg.fmax)
+        for _ in range(2):  # at the latest, the second call takes the filterbank from the cache
+            assert dsp.mel_spectrogram(buf, cfg).data.tobytes() == (fresh @ mags).tobytes()
+        cached = dsp._cached_filterbank(16000, mags.shape[0], cfg.n_mels, 0.0, cfg.fmax)
+        assert cached is dsp._cached_filterbank(16000, mags.shape[0], cfg.n_mels, 0.0, cfg.fmax)
+        assert cached.tobytes() == fresh.tobytes()
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+        assert fresh is not cached and fresh.flags.writeable  # the public function stays uncached
+
 
 class TestLogCompress:
     def test_floor_value(self):

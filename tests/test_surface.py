@@ -125,3 +125,6 @@ def test_each_fact_has_one_home():
     # one reverse step: the posterior mean at the x0 estimate, its previous step always given
     assert not hasattr(diffusion, "reverse_mean") and not hasattr(diffusion, "clipped_posterior_mean")
     assert inspect.signature(diffusion.p_step).parameters["t_prev"].default is inspect.Parameter.empty
+    # a branch runs its convolution inline, and its trace keeps activations, not weights
+    assert not hasattr(denoiser, "_conv_time")
+    assert "flat_w" not in [f.name for f in dataclasses.fields(denoiser._BranchTrace)]

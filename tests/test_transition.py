@@ -64,12 +64,19 @@ class TestBandEnergies:
         assert np.all(low == 1.0)
 
     def test_matches_bruteforce_exactly(self):
-        rng = np.random.default_rng(0)
-        data = rng.uniform(0, 3, (6, 4))
-        low, high = transition.band_energies(linear_mel(data))
-        blow, bhigh = brute_band_energies(data)
-        assert np.array_equal(low, blow)
-        assert np.array_equal(high, bhigh)
+        # values over 16 decades make any other summation order show; at
+        # T = 1 or in F order np.add.reduce sums a band pairwise, not in order
+        for shape in [(6, 4), (80, 1), (80, 37), (161, 1), (161, 37)]:
+            rng = np.random.default_rng(shape[0] + shape[1])
+            data = 10.0 ** rng.uniform(-8.0, 8.0, shape)
+            if shape[1] > 1:
+                data[:, -1] = -0.0  # an all -0.0 band sums to +0.0, as from np.zeros
+            for order in "CF":
+                data = np.asarray(data, order=order)
+                low, high = transition.band_energies(linear_mel(data))
+                blow, bhigh = brute_band_energies(data)
+                assert low.tobytes() == blow.tobytes(), (shape, order)
+                assert high.tobytes() == bhigh.tobytes(), (shape, order)
 
     def test_odd_bin_count_split(self):
         data = np.arange(15, dtype=np.float64).reshape(5, 3)
@@ -123,7 +130,10 @@ class TestSmoothRatio:
             if k > 2 * T - 1:
                 continue
             r = rng.uniform(0, 4, T)
-            assert np.array_equal(transition.smooth_ratio(r, k), brute_smooth(r, k))
+            assert transition.smooth_ratio(r, k).tobytes() == brute_smooth(r, k).tobytes()
+        for T in (1, 2, 5, 30):  # the widest kernel, k = 2T - 1
+            r = rng.uniform(0, 4, T)
+            assert transition.smooth_ratio(r, 2 * T - 1).tobytes() == brute_smooth(r, 2 * T - 1).tobytes()
 
     def test_even_k_rejected(self):
         with pytest.raises(ValueError):
