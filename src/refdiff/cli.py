@@ -229,18 +229,20 @@ def _check_mel_bins(path_a: str, bins_a: int, path_b: str, bins_b: int) -> None:
         raise InputError(f"{path_a} has {bins_a} mel bins but {path_b} has {bins_b}")
 
 
-def _steps(args, ckpt: trainer.Checkpoint) -> int:
-    """``--steps``, by default the checkpoint's full chain; the sampler checks its range."""
-    return ckpt.schedule.T if args.steps is None else args.steps
-
-
-def cmd_sample(args) -> int:
+def _load_model(args) -> tuple[trainer.Checkpoint, synthgen.SynthDataset, int]:
+    """The checkpoint and dataset of ``sample`` and ``eval``, their mel bins
+    checked to agree, and ``--steps``, by default the checkpoint's full
+    chain; the sampler checks its range."""
     ckpt = _read("cannot load checkpoint", args.checkpoint, trainer.Checkpoint.load)
     dataset = _read("cannot load dataset", args.manifest, synthgen.load_dataset)
     _check_mel_bins(args.checkpoint, ckpt.params.n_mels, args.manifest, dataset.cfg.n_mels)
+    return ckpt, dataset, ckpt.schedule.T if args.steps is None else args.steps
+
+
+def cmd_sample(args) -> int:
+    ckpt, dataset, steps = _load_model(args)
     if not (0 <= args.index < len(dataset)):
         raise ParamError(f"index {args.index} outside dataset of {len(dataset)}")
-    steps = _steps(args, ckpt)
     x0, gt = trainer.sample_item(ckpt, dataset, args.index, steps, args.seed)
     dsp.write_mels(args.output, dsp.MelSpectrogram(data=x0, hop=dataset.cfg.hop, is_log=True))
     mse = float(((x0 - gt) ** 2).mean())
@@ -259,10 +261,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = _read("cannot load checkpoint", args.checkpoint, trainer.Checkpoint.load)
-    dataset = _read("cannot load dataset", args.manifest, synthgen.load_dataset)
-    _check_mel_bins(args.checkpoint, ckpt.params.n_mels, args.manifest, dataset.cfg.n_mels)
-    steps = _steps(args, ckpt)
+    ckpt, dataset, steps = _load_model(args)
     metrics = trainer.evaluate(ckpt, dataset, steps, seed=args.seed)
     doc = {"steps": steps, "seed": args.seed, "metrics": metrics.to_json()}
     _emit(

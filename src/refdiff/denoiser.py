@@ -129,7 +129,11 @@ def _shapes(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> list[tuple[int
 
 def _zero_params(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> DenoiserParams:
     """Every array at zero, as consecutive views into one flat vector."""
-    if kernel % 2 == 0 or kernel < 1:
+    arch = zip(ARCH_KEYS, (n_mels, hidden, depth, cond_dim, step_dim, kernel))
+    small = [f"{key}={value}" for key, value in arch if value < 1]
+    if small:
+        raise ValueError(f"every size must be at least 1, got {', '.join(small)}")
+    if kernel % 2 == 0:
         raise ValueError("kernel must be a positive odd integer")
     shapes = _shapes(n_mels, hidden, depth, cond_dim, step_dim, kernel)
     sizes = [math.prod(shape) for shape in shapes]
@@ -209,7 +213,11 @@ class ForwardTrace:
     den: _BranchTrace | None = None
     ref_hidden: list[np.ndarray] | None = None
     emb: np.ndarray | None = None
-    eps_shape: tuple[int, int] | None = None
+
+    @property
+    def eps_shape(self) -> tuple[int, int]:
+        """The shape of the traced output, which is that of the denoiser's input."""
+        return self.den.x_in.shape
 
 
 def _flatten_conv(w: np.ndarray) -> np.ndarray:
@@ -392,7 +400,6 @@ def denoiser_forward(
     trace.den = branch_trace
     trace.ref_hidden = ref_hidden
     trace.emb = emb
-    trace.eps_shape = (F, T)
     return eps_hat, trace
 
 
@@ -447,7 +454,7 @@ def backward(
     receives exactly one addition per call, so summing a batch this way
     equals adding the items' fresh results in the same order.
     """
-    if trace.den is None or trace.eps_shape is None:
+    if trace.den is None:
         raise ValueError("trace does not contain a denoiser forward pass")
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
     if loss_grad.shape != trace.eps_shape:

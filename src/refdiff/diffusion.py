@@ -1,10 +1,11 @@
 """Denoising-diffusion machinery over spectrogram-shaped arrays.
 
 Forward corruption (both the closed form and the per-step Markov
-kernel), one reverse step (the posterior mean at the x0 estimate of
-the predicted noise, that estimate optionally clipped), an ancestral
-sampler with optional evenly-strided step reduction, and the
-transition-weighted noise-prediction loss.  The sampler knows nothing
+kernel), one reverse step, ``p_step`` (the posterior mean at the x0
+estimate of the predicted noise, that estimate optionally clipped,
+plus the step's noise), an ancestral sampler with optional
+evenly-strided step reduction, and the transition-weighted
+noise-prediction loss.  The sampler knows nothing
 of conditioning: it calls a noise predictor ``predict(x_t, t)`` that
 closes over the reference and score features itself.
 
@@ -112,23 +113,26 @@ def _alpha_bar(t: int, schedule: NoiseSchedule) -> float:
     return float(schedule.alpha_bars[t - 1]) if t > 0 else 1.0
 
 
-def posterior_mean(
+def p_step(
     x_t: np.ndarray,
     t: int,
     eps_hat: np.ndarray,
+    z: np.ndarray | None,
     schedule: NoiseSchedule,
     t_prev: int,
     clip: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Posterior mean of q(x_prev | x_t, x0) at the x0 estimate of eps_hat:
+    """One ancestral reverse step t -> t_prev: the posterior mean of
+    q(x_prev | x_t, x0) at the x0 estimate of eps_hat, plus sqrt(beta) z,
 
         x0  = (x_t - sqrt(1 - abar_t) eps_hat) / sqrt(abar_t), clipped to ``clip``
         mu  = sqrt(abar_prev) beta / (1 - abar_t) x0
               + sqrt(1 - beta) (1 - abar_prev) / (1 - abar_t) x_t
 
-    with beta = step_beta(t, t_prev).  The clip keeps an error in eps_hat
-    from being amplified by 1 / sqrt(abar_t) at the noisy end of the
-    chain (the ``clip_denoised`` step of Ho et al.).
+    with beta = step_beta(t, t_prev).  With ``z`` None or at t = 1 it
+    returns the mean alone.  The clip keeps an error in eps_hat from
+    being amplified by 1 / sqrt(abar_t) at the noisy end of the chain
+    (the ``clip_denoised`` step of Ho et al.).
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
@@ -139,28 +143,14 @@ def posterior_mean(
     x0 = (x_t - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
     if clip is not None:
         x0 = np.clip(x0, clip[0], clip[1])
-    return (np.sqrt(abar_prev) * beta / (1.0 - abar)) * x0 + (
+    mean = (np.sqrt(abar_prev) * beta / (1.0 - abar)) * x0 + (
         np.sqrt(1.0 - beta) * (1.0 - abar_prev) / (1.0 - abar)
     ) * x_t
-
-
-def p_step(
-    x_t: np.ndarray,
-    t: int,
-    eps_hat: np.ndarray,
-    z: np.ndarray | None,
-    schedule: NoiseSchedule,
-    t_prev: int,
-    clip: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """One ancestral reverse step t -> t_prev: the posterior mean at the
-    (optionally clipped) x0 estimate, plus sqrt(step_beta) z; no noise at t=1."""
-    mean = posterior_mean(x_t, t, eps_hat, schedule, t_prev, clip)
     if t == 1 or z is None:
         return mean
     z = np.asarray(z, dtype=np.float64)
     _check_shapes(mean, z)
-    return mean + np.sqrt(step_beta(t, t_prev, schedule)) * z
+    return mean + np.sqrt(beta) * z
 
 
 def sampling_steps(schedule: NoiseSchedule, steps: int) -> np.ndarray:
@@ -190,7 +180,7 @@ def sample(
     strided chain removes the same noise as the full one (the
     respacing of Nichol & Dhariwal).  Every step takes the posterior
     mean at the x0 estimate, clipped to [lo, hi] when ``clip`` is given
-    (see ``posterior_mean``).  Output is a deterministic
+    (see ``p_step``).  Output is a deterministic
     function of (seed, inputs): the generator draws the initial state
     first, then one z per visited step except the last.
     """

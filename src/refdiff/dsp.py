@@ -6,8 +6,8 @@ range-restricted Gaussian blur.  Everything downstream works on the
 used by the CLI and dataset tooling lives here too.
 
 All functions are pure: they never mutate their inputs, so values can
-be shared freely across threads.  The one state held is a small cache of
-the mel filterbanks ``mel_spectrogram`` has built, each read-only.
+be shared freely across threads.  The one state held is the small cache
+of ``mel_filterbank``, whose filterbanks are read-only.
 """
 
 from __future__ import annotations
@@ -269,6 +269,7 @@ def mel_center_frequencies(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
     return mel_to_hz(pts[1:-1])
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(
     sample_rate: int,
     n_fft_bins: int,
@@ -277,7 +278,8 @@ def mel_filterbank(
     fmax: float | None,
 ) -> np.ndarray:
     """Triangular filters with mel-spaced centers over [fmin, fmax] (None
-    for Nyquist), as an n_mels x n_fft_bins weight matrix.
+    for Nyquist), as an n_mels x n_fft_bins weight matrix.  It is built
+    once per argument tuple and read-only, because every caller shares it.
 
     Triangles are evaluated in fractional-FFT-bin space with a minimum
     half-width of one bin, so every filter keeps support even where the
@@ -300,16 +302,7 @@ def mel_filterbank(
     hi = np.maximum(edges_bin[2:, None], center + 1.0)
     rising = (bins - lo) / (center - lo)
     falling = (hi - bins) / (hi - center)
-    return np.clip(np.minimum(rising, falling), 0.0, None)
-
-
-@functools.lru_cache(maxsize=16)
-def _cached_filterbank(
-    sample_rate: int, n_fft_bins: int, n_mels: int, fmin: float, fmax: float | None
-) -> np.ndarray:
-    """``mel_filterbank`` built once per argument tuple; the array is read-only
-    because every caller shares it."""
-    weights = mel_filterbank(sample_rate, n_fft_bins, n_mels=n_mels, fmin=fmin, fmax=fmax)
+    weights = np.clip(np.minimum(rising, falling), 0.0, None)
     weights.flags.writeable = False
     return weights
 
@@ -317,7 +310,7 @@ def _cached_filterbank(
 def mel_spectrogram(audio: AudioBuffer, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
     """Linear-domain mel spectrogram: filters from 0 Hz applied to Hann STFT magnitudes."""
     mags = stft_magnitude(audio, frame=cfg.frame, hop=cfg.hop, window="hann")
-    weights = _cached_filterbank(audio.sample_rate, mags.shape[0], cfg.n_mels, 0.0, cfg.fmax)
+    weights = mel_filterbank(audio.sample_rate, mags.shape[0], cfg.n_mels, 0.0, cfg.fmax)
     return MelSpectrogram(data=weights @ mags, hop=cfg.hop, is_log=False)
 
 
@@ -343,10 +336,13 @@ def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     center = (size - 1) / 2.0
     offsets = np.arange(size) - center
-    taps = np.exp(-(offsets**2) / (2.0 * sigma**2))
-    taps /= taps.sum()
-    if taps.min() <= 0.0:
-        raise ValueError(f"sigma {sigma} is too small for {size} taps: the outer taps underflow to zero")
+    # a tiny sigma overflows the exponent or, once sigma**2 underflows, makes
+    # it 0/0: the check below rejects the zero or NaN taps that follow
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        taps = np.exp(-(offsets**2) / (2.0 * sigma**2))
+        taps /= taps.sum()
+    if not np.all(taps > 0.0):
+        raise ValueError(f"sigma {sigma} is too small for {size} taps: they underflow")
     return taps
 
 

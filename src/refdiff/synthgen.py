@@ -84,7 +84,7 @@ class SynthSample:
                     f"like its score, got is_log={mel.is_log} and {mel.data.shape} at hop {mel.hop}"
                 )
         self.cond = score_condition(self.score)
-        self.true_regions = true_transition_regions(self.score, self.cfg.region_window)
+        self.true_regions = build_regions(self.score.boundaries(), self.cfg.region_window, self.score.total_frames)
 
 
 def check_kind(name: str, value, kind: type):
@@ -248,11 +248,6 @@ def degrade_reference(
         data[:, lo:hi] = (cols * spread).T
     noise = np.clip(1.0 + 0.01 * rng.standard_normal(data.shape), 0.0, None)
     return MelSpectrogram(data=data * noise, hop=gt_mel.hop, is_log=False)
-
-
-def true_transition_regions(score: ScoreSpec, w: int) -> TransitionRegionSet:
-    """Oracle regions: one w-frame window per interior note boundary."""
-    return build_regions(score.boundaries(), w, score.total_frames)
 
 
 def score_condition(score: ScoreSpec) -> np.ndarray:

@@ -89,7 +89,7 @@ class Checkpoint:
     def load(path) -> "Checkpoint":
         params, header = dn.load_checkpoint(path)
         lo, hi = read_norm(header["norm"], "checkpoint")
-        # the file stores no schedule; an older file's config sizes give way to its arch
+        # the file stores no schedule, and its sizes only in the arch: the merge brings them to the config
         config = TrainConfig.from_json({**header["config"], **params.arch()})
         return Checkpoint(
             params=params,
@@ -141,38 +141,32 @@ class PreparedSample:
         return weight_map(self.regions, self.gt.shape[0], self.lambda_in)
 
 
-def prepare_reference(
-    ref_linear: MelSpectrogram,
-    blur: bool,
-    norm_lo: float,
-    norm_hi: float,
-    log_floor: float,
-) -> tuple[MelSpectrogram, TransitionRegionSet]:
-    """Detect regions on the linear reference, log-compress it at its
-    dataset's ``log_floor``, optionally blur the regions with
-    ``gaussian_kernel()`` (5 taps, sigma 1, as ``refdiff blur`` by
-    default), then normalize into the domain the denoiser reads.
-
-    The blur runs on log values: in the linear domain it would fill the
-    harmonic valleys near the log floor, which the log map turns into
-    large errors.
-    """
-    _, regions = analyze(ref_linear)
-    ref_log = log_compress(ref_linear, log_floor)
-    if blur:
-        ref_log = blur_regions(ref_log, regions, gaussian_kernel())
-    return normalize_log_mel(ref_log, norm_lo, norm_hi), regions
-
-
 def prepare_sample(
     sample_: SynthSample,
     cfg: TrainConfig,
     norm_lo: float,
     norm_hi: float,
 ) -> PreparedSample:
-    ref_norm, regions = prepare_reference(sample_.ref_mel, cfg.blur, norm_lo, norm_hi, sample_.cfg.log_floor)
-    lam = cfg.lambda_in if cfg.weighting else 1.0
-    return PreparedSample(gt=sample_.gt_mel.data, ref_norm=ref_norm, cond=sample_.cond, regions=regions, lambda_in=lam)
+    """Detect regions on the linear reference, log-compress it at its
+    dataset's ``log_floor``, blur the regions with ``gaussian_kernel()``
+    (5 taps, sigma 1, as ``refdiff blur`` by default) when ``cfg.blur``,
+    then normalize into the domain the denoiser reads.
+
+    The blur runs on log values: in the linear domain it would fill the
+    harmonic valleys near the log floor, which the log map turns into
+    large errors.
+    """
+    _, regions = analyze(sample_.ref_mel)
+    ref_log = log_compress(sample_.ref_mel, sample_.cfg.log_floor)
+    if cfg.blur:
+        ref_log = blur_regions(ref_log, regions, gaussian_kernel())
+    return PreparedSample(
+        gt=sample_.gt_mel.data,
+        ref_norm=normalize_log_mel(ref_log, norm_lo, norm_hi),
+        cond=sample_.cond,
+        regions=regions,
+        lambda_in=cfg.lambda_in if cfg.weighting else 1.0,
+    )
 
 
 ADAM_SLICE = 32768  # floats per Adam update: whole-vector temporaries would cost memory and time

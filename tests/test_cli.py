@@ -304,6 +304,16 @@ class TestBlurSigma:
         assert code == 3 and out == ""
         assert len(err.strip().splitlines()) == 1 and "sigma 0.1" in err and "101" in err
 
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-160"])
+    def test_tiny_sigma_exit3_without_warnings(self, tmp_path, capsys, sigma):
+        # sigma**2 underflows to 0 at 1e-300 and the exponent overflows at
+        # 1e-160: neither may warn or blame the spectrogram
+        mels = tmp_path / "two.mels"
+        write_two_note_mels(mels)
+        code, out, err = run_cli(capsys, "blur", str(mels), str(tmp_path / "o.mels"), "--sigma", sigma)
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and f"sigma {float(sigma)} is too small" in err
+
     def test_unit_sigma_ok(self, tmp_path, capsys):
         mels = tmp_path / "two.mels"
         write_two_note_mels(mels)
@@ -737,6 +747,17 @@ class TestTrainCmd:
         assert code == 3
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and field in err
+
+    @pytest.mark.parametrize("field", ["depth", "hidden"])
+    def test_zero_size_config_exit3(self, dataset_dir, tmp_path, capsys, field):
+        # a zero depth or width has no parameters to train; it must not
+        # reach the forward pass
+        cfg = {"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2, field: 0}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["train", str(tmp_path / "cfg.json"), str(dataset_dir / "manifest.jsonl"), "--out", str(tmp_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and f"{field}=0" in err
 
     def test_mixed_manifest_exit2(self, dataset_dir, tmp_path, capsys):
         # a record whose ref has 40 mel bins where its score, and its gt,

@@ -121,18 +121,19 @@ class TestQStep:
 
 
 class TestReverseMean:
-    """The unclipped posterior mean against the epsilon form it equals."""
+    """The unclipped posterior mean, which ``p_step`` returns without noise,
+    against the epsilon form it equals."""
 
     def test_zero_eps(self):
         sched = diffusion.make_schedule(10, 1e-3, 0.05)
         x = np.full((2, 2), 2.0)
-        out = diffusion.posterior_mean(x, 5, np.zeros((2, 2)), sched, 4, clip=None)
+        out = diffusion.p_step(x, 5, np.zeros((2, 2)), None, sched, 4, clip=None)
         np.testing.assert_allclose(out, x / np.sqrt(1.0 - sched.betas[4]), rtol=1e-15)
 
     def test_small_beta_limit(self):
         sched = diffusion.make_schedule(10, 1e-10, 1e-10)
         x = np.full((2, 2), 2.0)
-        out = diffusion.posterior_mean(x, 5, np.full((2, 2), 0.3), sched, 4, clip=None)
+        out = diffusion.p_step(x, 5, np.full((2, 2), 0.3), None, sched, 4, clip=None)
         np.testing.assert_allclose(out, x, atol=1e-4)
 
     def test_algebra_against_independent_evaluation(self):
@@ -142,7 +143,7 @@ class TestReverseMean:
         eps = rng.standard_normal((3, 4))
         for t in (1, 10, 30):
             x_t = diffusion.q_sample(x0, t, eps, sched)
-            got = diffusion.posterior_mean(x_t, t, eps, sched, t - 1, clip=None)
+            got = diffusion.p_step(x_t, t, eps, None, sched, t - 1, clip=None)
             # independent re-derivation from the schedule values
             beta = sched.betas[t - 1]
             abar = sched.alpha_bars[t - 1]
@@ -152,12 +153,15 @@ class TestReverseMean:
 
 class TestPStep:
     def test_no_noise_returns_mean(self):
+        # the noisy step is the noiseless one plus sqrt(beta) z, to the bit
         sched = diffusion.make_schedule(10, 1e-3, 0.05)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3))
         eps = rng.standard_normal((2, 3))
-        out = diffusion.p_step(x, 5, eps, None, sched, 4)
-        np.testing.assert_array_equal(out, diffusion.posterior_mean(x, 5, eps, sched, 4, clip=None))
+        z = rng.standard_normal((2, 3))
+        mean = diffusion.p_step(x, 5, eps, None, sched, 4)
+        noisy = diffusion.p_step(x, 5, eps, z, sched, 4)
+        assert noisy.tobytes() == (mean + np.sqrt(sched.betas[4]) * z).tobytes()
 
     def test_final_step_ignores_noise(self):
         sched = diffusion.make_schedule(10, 1e-3, 0.05)
@@ -166,7 +170,10 @@ class TestPStep:
         eps = rng.standard_normal((2, 3))
         z = rng.standard_normal((2, 3))
         out = diffusion.p_step(x, 1, eps, z, sched, 0)
-        np.testing.assert_array_equal(out, diffusion.posterior_mean(x, 1, eps, sched, 0, clip=None))
+        np.testing.assert_array_equal(out, diffusion.p_step(x, 1, eps, None, sched, 0))
+        # at t = 1 the mean is the x0 estimate itself
+        x0 = (x - np.sqrt(1.0 - sched.alpha_bars[0]) * eps) / np.sqrt(sched.alpha_bars[0])
+        np.testing.assert_allclose(out, x0, rtol=1e-12)
 
     def test_variance_matches_beta(self):
         sched = diffusion.make_schedule(10, 1e-3, 0.05)
@@ -206,7 +213,7 @@ class TestRespacedStep:
         x_t = 2.0 * rng.standard_normal((3, 5))
         eps = rng.standard_normal((3, 5))
         t, t_prev = 80, 76
-        got = diffusion.posterior_mean(x_t, t, eps, sched, t_prev, clip=(-1.0, 1.0))
+        got = diffusion.p_step(x_t, t, eps, None, sched, t_prev, clip=(-1.0, 1.0))
         abar, abar_prev = sched.alpha_bars[t - 1], sched.alpha_bars[t_prev - 1]
         beta = 1.0 - abar / abar_prev
         x0 = np.clip((x_t - np.sqrt(1.0 - abar) * eps) / np.sqrt(abar), -1.0, 1.0)
@@ -223,7 +230,7 @@ class TestRespacedStep:
         x_t = rng.standard_normal((2, 4))
         eps = rng.standard_normal((2, 4))
         for t, t_prev in ((100, 96), (40, 39), (1, 0)):
-            got = diffusion.posterior_mean(x_t, t, eps, sched, t_prev, clip=None)
+            got = diffusion.p_step(x_t, t, eps, None, sched, t_prev, clip=None)
             # the epsilon form of the same mean, written out independently
             beta = diffusion.step_beta(t, t_prev, sched)
             abar = sched.alpha_bars[t - 1]

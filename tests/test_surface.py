@@ -128,3 +128,8 @@ def test_each_fact_has_one_home():
     # a branch runs its convolution inline, and its trace keeps activations, not weights
     assert not hasattr(denoiser, "_conv_time")
     assert "flat_w" not in [f.name for f in dataclasses.fields(denoiser._BranchTrace)]
+    # no layer has one caller, and the trace reads its output shape off the denoiser's input
+    assert not hasattr(diffusion, "posterior_mean") and not hasattr(trainer, "prepare_reference")
+    assert not hasattr(dsp, "_cached_filterbank") and not hasattr(synthgen, "true_transition_regions")
+    assert not hasattr(cli, "_steps")
+    assert "eps_shape" not in [f.name for f in dataclasses.fields(denoiser.ForwardTrace)]

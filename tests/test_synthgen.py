@@ -112,15 +112,19 @@ class TestDegradeReference:
 
 
 class TestTrueRegions:
+    """The oracle regions of a score: one window per interior note boundary."""
+
+    @staticmethod
+    def oracle(score, w):
+        return transition.build_regions(score.boundaries(), w, score.total_frames)
+
     def test_single_note_empty(self):
         score = synthgen.DatasetConfig().score(((200.0, 30),))
-        regions = synthgen.true_transition_regions(score, 4)
-        assert regions.regions == ()
+        assert self.oracle(score, 4).regions == ()
 
     def test_two_notes_centered(self):
         score = synthgen.DatasetConfig().score(((200.0, 10), (300.0, 10)))
-        regions = synthgen.true_transition_regions(score, 4)
-        assert regions.regions == ((8, 12),)
+        assert self.oracle(score, 4).regions == ((8, 12),)
 
     def test_many_notes_cover_all_boundaries(self):
         rng = np.random.default_rng(0)
@@ -128,10 +132,14 @@ class TestTrueRegions:
             (float(rng.uniform(100, 900)), int(rng.integers(5, 20))) for _ in range(6)
         )
         score = synthgen.DatasetConfig().score(notes)
-        regions = synthgen.true_transition_regions(score, 6)
-        mask = regions.covers()
+        mask = self.oracle(score, 6).covers()
         for b in score.boundaries():
             assert mask[b] or (b == score.total_frames)
+
+    def test_sample_carries_its_scores_oracle_regions(self):
+        dataset = synthgen.make_dataset(3, 0, synthgen.DatasetConfig(region_window=6))
+        for s in dataset:
+            assert s.true_regions == self.oracle(s.score, 6)
 
 
 class TestNormalizeF0:

@@ -185,21 +185,21 @@ class TestPrepareReference:
         for s in dataset:
             mask = s.true_regions.covers()
             for blur in sq:
-                ref, _ = trainer.prepare_reference(
-                    s.ref_mel, blur, dataset.norm_lo, dataset.norm_hi, dataset.cfg.log_floor
-                )
+                ref = trainer.prepare_sample(s, tiny_train_config(blur=blur), dataset.norm_lo, dataset.norm_hi).ref_norm
                 sq[blur] += float(((ref.data - s.gt_mel.data)[:, mask] ** 2).sum())
         assert sq[True] <= sq[False]
 
     def test_blur_runs_on_log_values(self, small_dataset):
         s = small_dataset[0]
         lo, hi = small_dataset.norm_lo, small_dataset.norm_hi
-        got, regions = trainer.prepare_reference(s.ref_mel, True, lo, hi, 1e-5)
-        log_ref = dsp.log_compress(s.ref_mel, 1e-5)
+        got = trainer.prepare_sample(s, tiny_train_config(blur=True), lo, hi)
+        regions = got.regions
+        assert regions == transition.analyze(s.ref_mel)[1]
+        log_ref = dsp.log_compress(s.ref_mel, s.cfg.log_floor)
         blurred = transition.blur_regions(log_ref, regions, dsp.gaussian_kernel())
         expected = synthgen.normalize_log_mel(blurred, lo, hi)
         assert regions.regions
-        assert np.array_equal(got.data, expected.data)
+        assert np.array_equal(got.ref_norm.data, expected.data)
 
 
     def test_reference_takes_its_datasets_floor(self):
