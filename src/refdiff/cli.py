@@ -165,8 +165,6 @@ def cmd_blur(args) -> int:
 
 
 def cmd_gendata(args) -> int:
-    if args.n < 1:
-        raise ParamError("n must be >= 1")
     out_dir = _out_dir(args.out)
     dataset = synthgen.make_dataset(args.n, args.seed)
     manifest = synthgen.write_dataset(dataset, out_dir)

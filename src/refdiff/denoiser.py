@@ -118,7 +118,16 @@ class DenoiserParams:
 
 
 def _shapes(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> list[tuple[int, ...]]:
-    """The stored shape of every array, in ``named_arrays`` order."""
+    """The stored shape of every array, in ``named_arrays`` order.
+
+    Raises ValueError unless every size is at least 1 and the kernel is odd.
+    """
+    arch = zip(ARCH_KEYS, (n_mels, hidden, depth, cond_dim, step_dim, kernel))
+    small = [f"{key}={value}" for key, value in arch if value < 1]
+    if small:
+        raise ValueError(f"every size must be at least 1, got {', '.join(small)}")
+    if kernel % 2 == 0:
+        raise ValueError("kernel must be a positive odd integer")
     # conv weights are stored (2H, K, H): the (2H, H, K) view of that is
     # what _flatten_conv turns back into a view instead of a copy
     branch = [(hidden, n_mels), (hidden,)] + [(2 * hidden, kernel, hidden), (2 * hidden,)] * depth
@@ -129,12 +138,6 @@ def _shapes(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> list[tuple[int
 
 def _zero_params(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> DenoiserParams:
     """Every array at zero, as consecutive views into one flat vector."""
-    arch = zip(ARCH_KEYS, (n_mels, hidden, depth, cond_dim, step_dim, kernel))
-    small = [f"{key}={value}" for key, value in arch if value < 1]
-    if small:
-        raise ValueError(f"every size must be at least 1, got {', '.join(small)}")
-    if kernel % 2 == 0:
-        raise ValueError("kernel must be a positive odd integer")
     shapes = _shapes(n_mels, hidden, depth, cond_dim, step_dim, kernel)
     sizes = [math.prod(shape) for shape in shapes]
     flat = np.zeros(sum(sizes))
@@ -206,7 +209,8 @@ class _BranchTrace:
 
 @dataclass
 class ForwardTrace:
-    """Cached activations for one forward pass, consumed by backward()."""
+    """Cached activations for one forward pass, consumed by backward():
+    ``reference_forward`` records ``ref``, ``denoiser_forward`` the rest."""
 
     cond: np.ndarray | None = None
     ref: _BranchTrace | None = None
@@ -339,9 +343,7 @@ def reference_forward(
     branch_trace = _run_branch(params.ref, x, c, None, params.hidden)
     hiddens = branch_trace.hiddens[1:]
     if trace is not None:
-        trace.cond = cond
         trace.ref = branch_trace
-        trace.ref_hidden = hiddens
     return hiddens
 
 
@@ -378,7 +380,7 @@ def denoiser_forward(
         raise ValueError("step must be >= 1")
     if trace is None:
         trace = ForwardTrace()
-    if trace.cond is not None and trace.cond.shape != cond.shape:
+    if trace.ref is not None and trace.ref.x_in.shape[1] != T:
         raise ValueError("cond shape differs from the recorded reference pass")
 
     emb = step_embedding(t, params.step_dim)
@@ -578,17 +580,6 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return raw
 
 
-def _parse_arch(arch) -> dict:
-    """The architecture sizes of a checkpoint header, as positive ints."""
-    if not isinstance(arch, dict) or set(arch) != set(ARCH_KEYS):
-        raise ValueError(f"checkpoint arch must have exactly the keys {', '.join(ARCH_KEYS)}")
-    for key in ARCH_KEYS:
-        value = arch[key]
-        if type(value) is not int or value < 1:
-            raise ValueError(f"checkpoint arch {key} must be a positive integer, got {value!r}")
-    return arch
-
-
 def load_checkpoint(path) -> tuple[DenoiserParams, dict]:
     """Read an RDCK file written by ``save_checkpoint``: the parameter
     payload goes with one ``readinto`` into the flat vector of fresh
@@ -598,10 +589,10 @@ def load_checkpoint(path) -> tuple[DenoiserParams, dict]:
     other than CHECKPOINT_VERSION (versions 1 and 2 included), a
     file that ends inside the fixed fields or the header, a header
     longer than MAX_HEADER_BYTES or not a JSON object, an arch that is
-    not six positive integers (the kernel odd), parameter bytes,
-    trailing ones included, that do not add up to what the arch needs,
-    or a parameter that is NaN or infinite.  The size is checked before
-    any array is allocated.
+    not exactly the six ARCH_KEYS holding integers, sizes ``_shapes``
+    rejects, parameter bytes, trailing ones included, that do not add
+    up to what the arch needs, or a parameter that is NaN or infinite.
+    The size is checked before any array is allocated.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -617,7 +608,12 @@ def load_checkpoint(path) -> tuple[DenoiserParams, dict]:
         header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
         if not isinstance(header, dict):
             raise ValueError("checkpoint header must be a JSON object")
-        arch = _parse_arch(header.get("arch"))
+        arch = header.get("arch")
+        if not isinstance(arch, dict) or set(arch) != set(ARCH_KEYS):
+            raise ValueError(f"checkpoint arch must have exactly the keys {', '.join(ARCH_KEYS)}")
+        for key in ARCH_KEYS:
+            if type(arch[key]) is not int:
+                raise ValueError(f"checkpoint arch {key} must be an integer, got {arch[key]!r}")
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         needed = 8 * sum(math.prod(shape) for shape in _shapes(**arch))
         if remaining != needed:

@@ -184,15 +184,13 @@ def sample(
     function of (seed, inputs): the generator draws the initial state
     first, then one z per visited step except the last.
     """
-    ts = sampling_steps(schedule, steps)
+    ts = sampling_steps(schedule, steps).tolist()
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
-    for i, t in enumerate(ts):
-        eps_hat = predict(x, int(t))
-        last = i == len(ts) - 1
-        z = None if last else rng.standard_normal(shape)
-        t_prev = 0 if last else int(ts[i + 1])
-        x = p_step(x, int(t), eps_hat, z, schedule, t_prev, clip)
+    for t, t_prev in zip(ts, ts[1:] + [0]):
+        eps_hat = predict(x, t)
+        z = rng.standard_normal(shape) if t_prev > 0 else None
+        x = p_step(x, t, eps_hat, z, schedule, t_prev, clip)
     return x
 
 

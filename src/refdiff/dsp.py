@@ -23,19 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 class WavError(ValueError):
-    """Base class for WAV ingestion failures."""
-
-
-class UnreadableWavError(WavError):
-    """File is missing, truncated, or not a RIFF/WAVE container."""
-
-
-class UnsupportedWavEncodingError(WavError):
-    """WAV sample encoding other than PCM16 or IEEE float32."""
-
-
-class EmptyAudioError(WavError):
-    """WAV file contains zero samples."""
+    """A WAV file that cannot be read: missing, truncated, not a RIFF/WAVE
+    container, in an encoding other than PCM16 or IEEE float32, or empty."""
 
 
 @dataclass(frozen=True)
@@ -114,16 +103,16 @@ def load_wav(path) -> AudioBuffer:
     its whole frames of PCM16 (scaled by 1/32768) or IEEE float32 (clipped to
     [-1, 1]), plain or as the WAVE_FORMAT_EXTENSIBLE subformat.  One chunk walk
     up to the RIFF size reads ``fmt `` and stops at the first ``data``.  Raises
-    UnreadableWavError on a malformed field, UnsupportedWavEncodingError on
-    any other encoding."""
+    WavError on a file that cannot be opened, a malformed field, any other
+    encoding or no samples."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise UnreadableWavError(f"cannot open WAV file: {path} ({exc.strerror})") from None
+        raise WavError(f"cannot open WAV file: {path} ({exc.strerror})") from None
 
-    def unreadable(why: str) -> UnreadableWavError:
-        return UnreadableWavError(f"not a readable WAV file: {path} ({why})")
+    def unreadable(why: str) -> WavError:
+        return WavError(f"not a readable WAV file: {path} ({why})")
 
     end = 8 + int.from_bytes(raw[4:8], "little")
     if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE" or end > len(raw):
@@ -150,12 +139,12 @@ def load_wav(path) -> AudioBuffer:
     tag, channels, rate, byte_rate, block_align, bits = fmt
     dtype = _WAV_ENCODINGS.get((tag, bits))
     if dtype is None:
-        raise UnsupportedWavEncodingError(f"WAV format {tag}, {bits} bits, not PCM16/float32: {path}")
+        raise WavError(f"WAV format {tag}, {bits} bits, not PCM16/float32: {path}")
     if not 0 < block_align == channels * dtype.itemsize or not 0 < byte_rate == rate * block_align:
         raise unreadable(f"{channels} channels, {block_align}-byte blocks, {byte_rate} B/s at {rate} Hz")
     first = np.frombuffer(raw, dtype, size // block_align * channels, pos)[::channels].astype(float)
     if first.size == 0:
-        raise EmptyAudioError(f"WAV file contains no samples: {path}")
+        raise WavError(f"WAV file contains no samples: {path}")
     if np.isnan(first).any():
         raise unreadable("NaN sample")
     scaled = first / 32768.0 if dtype.kind == "i" else np.clip(first, -1.0, 1.0)
@@ -236,9 +225,8 @@ def stft_magnitude(
     n_frames = 1 + math.ceil(n / hop)
     left = frame // 2
     right = max(0, (n_frames - 1) * hop + frame - left - n)
-    idx = reflect_indices(n, max(left, right))
-    pad_total = max(left, right)
-    padded = x[idx][pad_total - left : pad_total + n + right]
+    pad = max(left, right)
+    padded = x[reflect_indices(n, pad)][pad - left : pad + n + right]
     frames = sliding_window_view(padded, frame)[::hop][:n_frames] * win[None, :]
     return np.abs(np.fft.rfft(frames, axis=1)).T
 
@@ -336,11 +324,11 @@ def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     center = (size - 1) / 2.0
     offsets = np.arange(size) - center
-    # a tiny sigma overflows the exponent or, once sigma**2 underflows, makes
-    # it 0/0: the check below rejects the zero or NaN taps that follow
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        taps = np.exp(-(offsets**2) / (2.0 * sigma**2))
-        taps /= taps.sum()
+    # with a tiny sigma, offsets / sigma overflows to inf off the centre and
+    # those taps are 0; the centre tap is always 1, so the sum never is
+    with np.errstate(over="ignore"):
+        taps = np.exp(-((offsets / sigma) ** 2) / 2.0)
+    taps /= taps.sum()
     if not np.all(taps > 0.0):
         raise ValueError(f"sigma {sigma} is too small for {size} taps: they underflow")
     return taps

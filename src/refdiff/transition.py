@@ -202,10 +202,8 @@ def weight_map(regions: TransitionRegionSet, n_mels: int, lambda_in: float) -> W
     """F x T loss weights: lambda_in on region columns, 1 elsewhere."""
     if lambda_in < 1.0:
         raise ValueError("lambda_in must be >= 1")
-    data = np.ones((n_mels, regions.total_frames))
-    for start, end in regions.regions:
-        data[:, start:end] = lambda_in
-    return WeightMap(data=data)
+    row = np.where(regions.covers(), lambda_in, 1.0)
+    return WeightMap(data=np.repeat(row[None, :], n_mels, axis=0))
 
 
 def analyze(

@@ -184,27 +184,27 @@ class TestWavReader:
     BODY = len(riff(wav_fmt(), DATA)) - 8
 
     @pytest.mark.parametrize(
-        "blob, error",
+        "blob, reason",
         [
-            (riff(wav_chunk(b"fmt ", wav_fmt()[8:22]), DATA), dsp.UnreadableWavError),
-            (riff(DATA), dsp.UnreadableWavError),
-            (riff(wav_fmt()), dsp.UnreadableWavError),
-            (riff(DATA, wav_fmt()), dsp.UnreadableWavError),
-            (riff(wav_fmt(channels=0), DATA), dsp.UnreadableWavError),
-            (riff(wav_fmt(channels=2, block_align=2), DATA), dsp.UnreadableWavError),
-            (riff(wav_fmt(), DATA, size=BODY + 100), dsp.UnreadableWavError),
-            (riff(wav_fmt(bits=8), DATA), dsp.UnsupportedWavEncodingError),
-            (riff(wav_fmt(bits=24), DATA), dsp.UnsupportedWavEncodingError),
+            (riff(wav_chunk(b"fmt ", wav_fmt()[8:22]), DATA), "fmt chunk of 14 bytes, fewer than 16"),
+            (riff(DATA), "no fmt chunk before the data chunk"),
+            (riff(wav_fmt()), "no data chunk"),
+            (riff(DATA, wav_fmt()), "no fmt chunk before the data chunk"),
+            (riff(wav_fmt(channels=0), DATA), "0 channels"),
+            (riff(wav_fmt(channels=2, block_align=2), DATA), "2 channels, 2-byte blocks"),
+            (riff(wav_fmt(), DATA, size=BODY + 100), "no RIFF/WAVE header whose size fits"),
+            (riff(wav_fmt(bits=8), DATA), "8 bits, not PCM16/float32"),
+            (riff(wav_fmt(bits=24), DATA), "24 bits, not PCM16/float32"),
         ],
         ids=[
             "short-fmt", "no-fmt", "no-data", "data-before-fmt", "zero-channels",
             "block-align", "riff-size-past-eof", "pcm8", "pcm24",
         ],
     )
-    def test_rejected_exit2(self, tmp_path, capsys, blob, error):
+    def test_rejected_exit2(self, tmp_path, capsys, blob, reason):
         wav = tmp_path / "bad.wav"
         wav.write_bytes(blob)
-        with pytest.raises(error):
+        with pytest.raises(dsp.WavError, match=reason):
             dsp.load_wav(wav)
         assert_one_line_input_error(*run_cli(capsys, "analyze", str(wav)))
 
@@ -306,13 +306,21 @@ class TestBlurSigma:
 
     @pytest.mark.parametrize("sigma", ["1e-300", "1e-160"])
     def test_tiny_sigma_exit3_without_warnings(self, tmp_path, capsys, sigma):
-        # sigma**2 underflows to 0 at 1e-300 and the exponent overflows at
-        # 1e-160: neither may warn or blame the spectrogram
+        # the outer taps' exponent overflows to zero taps: that may neither
+        # warn nor blame the spectrogram
         mels = tmp_path / "two.mels"
         write_two_note_mels(mels)
         code, out, err = run_cli(capsys, "blur", str(mels), str(tmp_path / "o.mels"), "--sigma", sigma)
         assert code == 3 and out == ""
         assert len(err.strip().splitlines()) == 1 and f"sigma {float(sigma)} is too small" in err
+
+    def test_one_tap_tiny_sigma_keeps_the_bytes(self, tmp_path, capsys):
+        # a one-tap kernel is [1.0] at any sigma: blurring changes nothing
+        mels, out = tmp_path / "two.mels", tmp_path / "o.mels"
+        write_two_note_mels(mels)
+        code, _, _ = run_cli(capsys, "blur", str(mels), str(out), "--kernel-size", "1", "--sigma", "1e-300")
+        assert code == 0
+        assert out.read_bytes() == mels.read_bytes()
 
     def test_unit_sigma_ok(self, tmp_path, capsys):
         mels = tmp_path / "two.mels"
@@ -710,8 +718,8 @@ class TestGendata:
         assert (tmp_path / "env_out" / "manifest.jsonl").exists()
 
     def test_bad_n_exit3(self, capsys):
-        code, _, _ = run_cli(capsys, "gendata", "--n", "0")
-        assert code == 3
+        code, out, err = run_cli(capsys, "gendata", "--n", "0")
+        assert (code, out, err) == (3, "", "parameter error: n must be >= 1\n")
 
 
 class TestTrainCmd:
@@ -932,6 +940,13 @@ class TestEvalCmd:
         assert_one_line_input_error(code, out, err)
         assert "n_mels" in err
 
+    @pytest.mark.parametrize("key, value", [("depth", 0), ("hidden", -3), ("kernel", 2)])
+    def test_invalid_arch_size_exit2(self, trained, dataset_dir, tmp_path, capsys, key, value):
+        blob = self._edit_header(trained[0].read_bytes(), lambda h: h["arch"].update({key: value}))
+        code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
+        assert_one_line_input_error(code, out, err)
+        assert key in err
+
     def test_wrongly_typed_config_exit2(self, trained, dataset_dir, tmp_path, capsys):
         blob = self._edit_header(trained[0].read_bytes(), lambda h: h["config"].update(beta_min="x"))
         code, out, err = self._eval_blob(blob, dataset_dir, tmp_path, capsys)
@@ -950,10 +965,10 @@ class TestEvalCmd:
 
     @pytest.mark.parametrize("key", ["hidden", "depth", "step_dim", "kernel"])
     def test_config_sizes_give_way_to_arch(self, trained, dataset_dir, tmp_path, capsys, key):
-        # files whose config still carries the sizes load, and the arch
-        # that shapes the parameters wins, even over a size that disagrees
+        # a header whose config also carries a size loads, and the arch
+        # that shapes the parameters overrides it, even where they disagree
         blob = self._edit_header(trained[0].read_bytes(), lambda h: h["config"].update({key: h["arch"][key] + 2}))
-        path = tmp_path / "older.rdck"
+        path = tmp_path / "sizes_in_config.rdck"
         path.write_bytes(blob)
         args = (str(dataset_dir / "manifest.jsonl"), "--steps", "3", "--json")
         edited = run_cli(capsys, "eval", str(path), *args)

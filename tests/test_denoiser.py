@@ -268,6 +268,24 @@ class TestBackward:
         e2 = dn.grad_check(params2, x["x_t"], 2, x["cond"], x["ref"], x["target"])
         assert e1 == e2
 
+    def test_reference_pass_records_only_its_branch(self):
+        # the denoiser pass is the one writer of the condition and the
+        # reference hidden states it uses
+        params = tiny_params(randomize=1)
+        x = tiny_inputs()
+        trace = dn.ForwardTrace()
+        dn.reference_forward(params, x["ref"], x["cond"], trace=trace)
+        assert trace.ref is not None and trace.ref.x_in.shape == (2, 3)
+        assert (trace.cond, trace.ref_hidden, trace.den, trace.emb) == (None, None, None, None)
+
+    def test_trace_of_another_length_rejected(self):
+        params = tiny_params(randomize=1)
+        ref, x = tiny_inputs(T=5), tiny_inputs(T=3)
+        trace = dn.ForwardTrace()
+        dn.reference_forward(params, ref["ref"], ref["cond"], trace=trace)
+        with pytest.raises(ValueError, match="cond shape differs from the recorded reference pass"):
+            dn.denoiser_forward(params, x["x_t"], 2, x["cond"], None, trace=trace)
+
     def test_backward_without_forward_rejected(self):
         params = tiny_params()
         with pytest.raises(ValueError):

@@ -80,20 +80,20 @@ class TestLoadWav:
         np.testing.assert_allclose(loaded.samples, left / 32768.0)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(dsp.UnreadableWavError):
+        with pytest.raises(dsp.WavError, match="cannot open WAV file"):
             dsp.load_wav(tmp_path / "nope.wav")
 
     def test_not_a_wav(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"this is not audio at all, promise")
-        with pytest.raises(dsp.UnreadableWavError):
+        with pytest.raises(dsp.WavError, match="no RIFF/WAVE header"):
             dsp.load_wav(path)
 
     @pytest.mark.parametrize("blob", [b"RIFF", b"RIFF\x10\x00\x00\x00WAVEfmt "])
     def test_file_ending_inside_a_chunk_field(self, tmp_path, blob):
         path = tmp_path / "short.wav"
         path.write_bytes(blob)
-        with pytest.raises(dsp.UnreadableWavError):
+        with pytest.raises(dsp.WavError, match="no RIFF/WAVE header"):
             dsp.load_wav(path)
 
     def test_unsupported_encoding(self, tmp_path):
@@ -101,7 +101,7 @@ class TestLoadWav:
 
         path = tmp_path / "pcm32.wav"
         wavfile.write(path, 8000, np.arange(50, dtype=np.int32))
-        with pytest.raises(dsp.UnsupportedWavEncodingError):
+        with pytest.raises(dsp.WavError, match="32 bits, not PCM16/float32"):
             dsp.load_wav(path)
 
     def test_zero_length(self, tmp_path):
@@ -109,7 +109,7 @@ class TestLoadWav:
 
         path = tmp_path / "empty.wav"
         wavfile.write(path, 8000, np.zeros(0, dtype=np.int16))
-        with pytest.raises(dsp.EmptyAudioError):
+        with pytest.raises(dsp.WavError, match="contains no samples"):
             dsp.load_wav(path)
 
 
@@ -436,10 +436,14 @@ class TestGaussianKernel:
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
     def test_tiny_sigma_rejected_without_warnings(self, sigma):
-        # sigma**2 underflows to 0 at 1e-300 (NaN taps) and the exponent
-        # overflows at 1e-160 (zero taps); the suite turns warnings into errors
+        # the outer taps' exponent overflows, so they are zero; the suite
+        # turns warnings into errors
         with pytest.raises(ValueError, match=f"sigma {sigma} is too small for 5 taps"):
             dsp.gaussian_kernel(size=5, sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 5e-324])
+    def test_one_tap_at_any_sigma(self, sigma):
+        assert dsp.gaussian_kernel(size=1, sigma=sigma).tolist() == [1.0]
 
 
 def brute_blur_2d(data: np.ndarray, taps: np.ndarray) -> np.ndarray:

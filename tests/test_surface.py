@@ -133,3 +133,6 @@ def test_each_fact_has_one_home():
     assert not hasattr(dsp, "_cached_filterbank") and not hasattr(synthgen, "true_transition_regions")
     assert not hasattr(cli, "_steps")
     assert "eps_shape" not in [f.name for f in dataclasses.fields(denoiser.ForwardTrace)]
+    # the arch's validity lives in _shapes, and the WAV reader raises one error
+    assert not hasattr(denoiser, "_parse_arch")
+    assert [n for n in ("UnreadableWavError", "UnsupportedWavEncodingError", "EmptyAudioError") if hasattr(dsp, n)] == []

@@ -359,6 +359,19 @@ class TestWeightMap:
         with pytest.raises(ValueError):
             transition.weight_map(empty, 2, 0.5)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bytes_match_per_region_loop(self, seed):
+        # oracle and detected regions of real items, against a loop that
+        # writes lambda_in over each region's columns of a ones array
+        for item in synthgen.make_dataset(8, seed):
+            for regions in (item.true_regions, transition.analyze(item.ref_mel)[1]):
+                want = np.ones((item.score.n_mels, regions.total_frames))
+                for start, end in regions.regions:
+                    want[:, start:end] = 2.5
+                got = transition.weight_map(regions, item.score.n_mels, 2.5).data
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous
+
 
 class TestAnalyze:
     def test_silence_no_regions(self):
