@@ -2,10 +2,13 @@
 
 One binary with subcommands: analyze, blur, gendata, train, sample,
 eval, ablate.  Exit codes: 0 success, 2 input error, 3 parameter error,
-4 numerical failure.  ``--json`` modes emit exactly one JSON document
-on stdout; numeric defaults come from the modules' defaults and are
-echoed in the JSON output.  The REFDIFF_OUT_DIR environment variable
-supplies the default output directory; everything else is explicit flags.
+4 numerical failure.  A subcommand raises ``InputError`` for a bad file
+and ``ValueError`` for a bad value, which is a parameter error, exit 3;
+only ``main`` maps exceptions to codes.  ``--json`` modes emit exactly
+one JSON document on stdout; numeric defaults come from the modules'
+defaults and are echoed in the JSON output.  The REFDIFF_OUT_DIR
+environment variable supplies the default output directory; everything
+else is explicit flags.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ EXIT_NUMERIC = 4
 
 
 class InputError(Exception):
-    pass
-
-
-class ParamError(Exception):
     pass
 
 
@@ -92,7 +91,7 @@ def _detector_config(mel: dsp.MelSpectrogram, args, **extra) -> transition.Trans
     if mel.n_mels < 2:
         raise InputError(f"spectrogram has {mel.n_mels} mel bin; transition detection needs at least 2")
     if args.k < 1 or args.k % 2 == 0 or args.w < 1:
-        raise ParamError("k must be odd and positive, w must be >= 1")
+        raise ValueError("k must be odd and positive, w must be >= 1")
     need = max(2, (args.k + 1) // 2)
     if mel.n_frames < need:
         raise InputError(
@@ -112,9 +111,9 @@ def _emit(doc: dict, as_json: bool, summary: str) -> None:
 def cmd_analyze(args) -> int:
     # both values are echoed into the report, whose schema bounds them
     if not 1.0 <= args.region_weight < math.inf:
-        raise ParamError(f"--region-weight must be finite and >= 1, got {args.region_weight}")
+        raise ValueError(f"--region-weight must be finite and >= 1, got {args.region_weight}")
     if not 0.0 < args.eps < math.inf:
-        raise ParamError(f"--eps must be finite and > 0, got {args.eps}")
+        raise ValueError(f"--eps must be finite and > 0, got {args.eps}")
     mel = _load_spectrogram(args.input)
     cfg = _detector_config(mel, args, eps=args.eps)
     _, regions = transition.analyze(mel, cfg)
@@ -190,7 +189,7 @@ def _load_config(path: str) -> trainer.TrainConfig:
     try:
         return trainer.TrainConfig.from_json(obj)
     except (TypeError, ValueError) as exc:
-        raise ParamError(f"bad training config: {exc}") from None
+        raise ValueError(f"bad training config: {exc}") from None
 
 
 def cmd_train(args) -> int:
@@ -240,7 +239,7 @@ def _load_model(args) -> tuple[trainer.Checkpoint, synthgen.SynthDataset, int]:
 def cmd_sample(args) -> int:
     ckpt, dataset, steps = _load_model(args)
     if not (0 <= args.index < len(dataset)):
-        raise ParamError(f"index {args.index} outside dataset of {len(dataset)}")
+        raise ValueError(f"index {args.index} outside dataset of {len(dataset)}")
     x0, gt = trainer.sample_item(ckpt, dataset, args.index, steps, args.seed)
     dsp.write_mels(args.output, dsp.MelSpectrogram(data=x0, hop=dataset.cfg.hop, is_log=True))
     mse = float(((x0 - gt) ** 2).mean())
@@ -274,7 +273,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     config = _load_config(args.config)
     if not all(1 <= steps <= config.schedule_T for steps in args.steps):
-        raise ParamError(f"steps must lie in 1..{config.schedule_T}")
+        raise ValueError(f"steps must lie in 1..{config.schedule_T}")
     if args.out:
         _check_writable(args.out)
     dataset = _read("cannot load dataset", args.manifest, synthgen.load_dataset)
@@ -312,67 +311,63 @@ def build_parser() -> argparse.ArgumentParser:
     detector = transition.TransitionConfig
     kernel = inspect.signature(dsp.gaussian_kernel).parameters
 
-    p = sub.add_parser("analyze", help="detect pitch-transition regions")
+    # the flags several subcommands share, each declared once
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    detecting = argparse.ArgumentParser(add_help=False)
+    detecting.add_argument("--k", type=int, default=detector.smooth_k, help="smoothing kernel size")
+    detecting.add_argument("--w", type=int, default=detector.window_w, help="region window size")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("checkpoint")
+    model.add_argument("manifest")
+    model.add_argument("--steps", type=int, help="sampler steps (default: the checkpoint's schedule length)")
+
+    p = sub.add_parser("analyze", help="detect pitch-transition regions", parents=[detecting, as_json])
     p.add_argument("input", help="WAV or MELS file")
-    p.add_argument("--k", type=int, default=detector.smooth_k, help="smoothing kernel size")
-    p.add_argument("--w", type=int, default=detector.window_w, help="region window size")
     p.add_argument("--eps", type=float, default=detector.eps)
     p.add_argument("--region-weight", type=float, default=trainer.TrainConfig.lambda_in)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("blur", help="Gaussian-blur transition regions of a MELS file")
+    p = sub.add_parser(
+        "blur", help="Gaussian-blur transition regions of a MELS file", parents=[detecting, as_json]
+    )
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--regions", help="region report JSON (default: auto-detect)")
     p.add_argument("--kernel-size", type=int, default=kernel["size"].default)
     p.add_argument("--sigma", type=float, default=kernel["sigma"].default)
-    p.add_argument("--k", type=int, default=detector.smooth_k)
-    p.add_argument("--w", type=int, default=detector.window_w)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_blur)
 
-    p = sub.add_parser("gendata", help="generate a synthetic dataset")
+    p = sub.add_parser("gendata", help="generate a synthetic dataset", parents=[seeded, as_json])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory (default: $REFDIFF_OUT_DIR or .)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gendata)
 
-    p = sub.add_parser("train", help="train a denoiser from a dataset manifest")
+    p = sub.add_parser("train", help="train a denoiser from a dataset manifest", parents=[as_json])
     p.add_argument("config", help="training config JSON")
     p.add_argument("manifest", help="dataset manifest.jsonl")
     p.add_argument("--out", help="output directory")
     p.add_argument("--name", default="model")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sample", help="sample one dataset item from a checkpoint")
-    p.add_argument("checkpoint")
-    p.add_argument("manifest")
+    p = sub.add_parser(
+        "sample", help="sample one dataset item from a checkpoint", parents=[model, seeded, as_json]
+    )
     p.add_argument("output")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--steps", type=int, help="sampler steps (default: the checkpoint's schedule length)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("checkpoint")
-    p.add_argument("manifest")
-    p.add_argument("--steps", type=int, help="sampler steps (default: the checkpoint's schedule length)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset", parents=[model, seeded, as_json])
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="train and evaluate the ablation grid")
+    p = sub.add_parser("ablate", help="train and evaluate the ablation grid", parents=[seeded, as_json])
     p.add_argument("config")
     p.add_argument("manifest")
     p.add_argument("--eval-manifest", help="held-out dataset for metrics (default: train set)")
     p.add_argument("--steps", type=int, nargs="+", default=[24, 54, 100])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the table JSON here as well")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ablate)
 
     return parser
@@ -382,17 +377,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ParamError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    except trainer.TrainingDivergedError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        # an output that cannot be written; the message names the path
+    except (InputError, OSError) as exc:
+        # OSError: an output that cannot be written; the message names the path
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, MemoryError) as exc:
@@ -400,6 +386,9 @@ def main(argv=None) -> int:
         # a schedule length of 1e11
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
+    except trainer.TrainingDivergedError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

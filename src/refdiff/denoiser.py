@@ -516,15 +516,16 @@ def grad_check(
     is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
 
+    def forward(trace: ForwardTrace | None = None) -> np.ndarray:
+        hiddens = reference_forward(params, ref_mel, cond, trace=trace)
+        return denoiser_forward(params, x_t, t, cond, hiddens, trace=trace)[0]
+
     def loss_of() -> float:
-        hiddens = reference_forward(params, ref_mel, cond)
-        eps_hat, _ = denoiser_forward(params, x_t, t, cond, hiddens)
-        diff = eps_hat - target
+        diff = forward() - target
         return float((diff * diff).mean())
 
     trace = ForwardTrace()
-    hiddens = reference_forward(params, ref_mel, cond, trace=trace)
-    eps_hat, trace = denoiser_forward(params, x_t, t, cond, hiddens, trace=trace)
+    eps_hat = forward(trace)
     loss_grad = 2.0 * (eps_hat - target) / eps_hat.size
     grads = backward(params, trace, loss_grad)
 

@@ -182,23 +182,19 @@ def reflect_indices(n: int, pad: int) -> np.ndarray:
     return np.where(m < n, m, 2 * n - 1 - m)
 
 
-def reflect_conv1d(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Convolve one axis with symmetric taps under reflect padding.
+def reflect_conv1d(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Convolve along axis 0 with symmetric taps under reflect padding;
+    to convolve another axis, pass the transposed array.
 
     Accumulates tap-by-tap in index order so results are reproducible
     against a naive double-loop evaluation.
     """
     arr = np.asarray(arr, dtype=np.float64)
-    k = len(taps)
-    radius = (k - 1) // 2
-    idx = reflect_indices(arr.shape[axis], radius)
-    padded = np.take(arr, idx, axis=axis)
-    n = arr.shape[axis]
+    n = arr.shape[0]
+    padded = arr[reflect_indices(n, (len(taps) - 1) // 2)]
     out = np.zeros_like(arr)
-    mover = np.moveaxis(padded, axis, 0)
-    target = np.moveaxis(out, axis, 0)
-    for i in range(k):
-        target += taps[i] * mover[i : i + n]
+    for i in range(len(taps)):
+        out += taps[i] * padded[i : i + n]
     return out
 
 
@@ -344,14 +340,16 @@ def gaussian_blur_2d(
 
     Each range's columns are blurred along time then frequency with
     reflect padding at both the matrix borders and that range's own
-    borders, exactly as ``reflect_conv1d`` on those columns alone would;
-    columns outside every range are copied through bit-identically.
+    borders, exactly as ``reflect_conv1d`` would: the time pass is
+    ``reflect_conv1d`` on the range's transposed columns, the frequency
+    pass ``reflect_conv1d`` along axis 0 of the result.  Columns outside
+    every range are copied through bit-identically.
     Raises ValueError on a range out of bounds, empty, or starting before
     the previous one ends.
 
     All ranges share one pass: their reflect-padded columns are gathered
     side by side, the time taps accumulate in tap order over that strip,
-    and one ``reflect_conv1d`` runs along frequency.
+    and one ``reflect_conv1d`` runs along frequency (axis 0).
     """
     T = mel.n_frames
     prev_end = 0
@@ -373,7 +371,7 @@ def gaussian_blur_2d(
         # column c is centred on strip column c + radius: each range's columns
         # come out side by side, with the 2 * radius columns that straddle two
         # ranges between them
-        blurred = reflect_conv1d(blurred, taps, axis=0)
+        blurred = reflect_conv1d(blurred, taps)
         offset = 0
         for start, end in frame_ranges:
             out[:, start:end] = blurred[:, offset : offset + end - start]

@@ -207,6 +207,16 @@ def adam_step(
     return params, state
 
 
+def _reference_pass(
+    params: dn.DenoiserParams, config: TrainConfig, item: PreparedSample, trace: dn.ForwardTrace | None = None
+) -> list[np.ndarray] | None:
+    """The reference branch's hidden states for ``item``, or None when
+    ``config`` trains without the reference."""
+    if not config.reference:
+        return None
+    return dn.reference_forward(params, item.ref_norm.data, item.cond, trace=trace)
+
+
 def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, TrainHistory]:
     """Run the training loop; returns the checkpoint and its history.
 
@@ -242,13 +252,8 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
             noise = rng.standard_normal(item.gt.shape)
             x_t = q_sample(item.gt, t, noise, schedule)
             trace = dn.ForwardTrace()
-            if config.reference:
-                hiddens = dn.reference_forward(params, item.ref_norm.data, item.cond, trace=trace)
-            else:
-                hiddens = None
-            eps_hat, trace = dn.denoiser_forward(
-                params, x_t, t, item.cond, hiddens, trace=trace
-            )
+            hiddens = _reference_pass(params, config, item, trace)
+            eps_hat, trace = dn.denoiser_forward(params, x_t, t, item.cond, hiddens, trace=trace)
             loss, loss_grad = weighted_eps_loss(noise, eps_hat, item.weights.data)
             dn.backward(params, trace, loss_grad, batch_grads)
             batch_loss += loss
@@ -270,10 +275,7 @@ def train(config: TrainConfig, dataset: SynthDataset) -> tuple[Checkpoint, Train
 
 def make_predictor(ckpt: Checkpoint, prepared: PreparedSample):
     """Denoiser callable for the sampler; reference features computed once."""
-    if ckpt.config.reference:
-        hiddens = dn.reference_forward(ckpt.params, prepared.ref_norm.data, prepared.cond)
-    else:
-        hiddens = None
+    hiddens = _reference_pass(ckpt.params, ckpt.config, prepared)
 
     def predict(x_t: np.ndarray, t: int) -> np.ndarray:
         eps_hat, _ = dn.denoiser_forward(ckpt.params, x_t, t, prepared.cond, hiddens)

@@ -127,7 +127,7 @@ def smooth_ratio(ratio: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("k must be a positive odd integer")
     if k > 2 * T - 1:
         raise ValueError("k must be <= 2T - 1")
-    return reflect_conv1d(ratio, np.ones(k), axis=0) / k
+    return reflect_conv1d(ratio, np.ones(k)) / k
 
 
 def detect_transition_points(series: EnergyRatioSeries) -> list[int]:

@@ -338,6 +338,90 @@ def test_detector_and_weight_defaults_come_from_their_modules():
     assert (blur.k, blur.w) == (detector.smooth_k, detector.window_w)
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["analyze", "in.mels"],
+            {"command": "analyze", "func": "cmd_analyze", "input": "in.mels", "k": 9, "w": 8,
+             "eps": 1e-06, "region_weight": 2.0, "json": False},
+        ),
+        (
+            ["analyze", "in.mels", "--k", "7", "--w", "3", "--eps", "0.5", "--region-weight", "2.5", "--json"],
+            {"command": "analyze", "func": "cmd_analyze", "input": "in.mels", "k": 7, "w": 3,
+             "eps": 0.5, "region_weight": 2.5, "json": True},
+        ),
+        (
+            ["blur", "in.mels", "out.mels"],
+            {"command": "blur", "func": "cmd_blur", "input": "in.mels", "output": "out.mels", "regions": None,
+             "kernel_size": 5, "sigma": 1.0, "k": 9, "w": 8, "json": False},
+        ),
+        (
+            ["blur", "in.mels", "out.mels", "--regions", "r.json", "--kernel-size", "7", "--sigma", "2.0",
+             "--k", "5", "--w", "4", "--json"],
+            {"command": "blur", "func": "cmd_blur", "input": "in.mels", "output": "out.mels", "regions": "r.json",
+             "kernel_size": 7, "sigma": 2.0, "k": 5, "w": 4, "json": True},
+        ),
+        (
+            ["gendata", "--n", "4"],
+            {"command": "gendata", "func": "cmd_gendata", "n": 4, "seed": 0, "out": None, "json": False},
+        ),
+        (
+            ["gendata", "--n", "4", "--seed", "3", "--out", "d", "--json"],
+            {"command": "gendata", "func": "cmd_gendata", "n": 4, "seed": 3, "out": "d", "json": True},
+        ),
+        (
+            ["train", "c.json", "m.jsonl"],
+            {"command": "train", "func": "cmd_train", "config": "c.json", "manifest": "m.jsonl", "out": None,
+             "name": "model", "json": False},
+        ),
+        (
+            ["train", "c.json", "m.jsonl", "--out", "o", "--name", "x", "--json"],
+            {"command": "train", "func": "cmd_train", "config": "c.json", "manifest": "m.jsonl", "out": "o",
+             "name": "x", "json": True},
+        ),
+        (
+            ["sample", "m.rdck", "m.jsonl", "o.mels"],
+            {"command": "sample", "func": "cmd_sample", "checkpoint": "m.rdck", "manifest": "m.jsonl",
+             "output": "o.mels", "index": 0, "steps": None, "seed": 0, "json": False},
+        ),
+        (
+            ["sample", "m.rdck", "m.jsonl", "o.mels", "--index", "2", "--steps", "10", "--seed", "5", "--json"],
+            {"command": "sample", "func": "cmd_sample", "checkpoint": "m.rdck", "manifest": "m.jsonl",
+             "output": "o.mels", "index": 2, "steps": 10, "seed": 5, "json": True},
+        ),
+        (
+            ["eval", "m.rdck", "m.jsonl"],
+            {"command": "eval", "func": "cmd_eval", "checkpoint": "m.rdck", "manifest": "m.jsonl",
+             "steps": None, "seed": 0, "json": False},
+        ),
+        (
+            ["eval", "m.rdck", "m.jsonl", "--steps", "10", "--seed", "5", "--json"],
+            {"command": "eval", "func": "cmd_eval", "checkpoint": "m.rdck", "manifest": "m.jsonl",
+             "steps": 10, "seed": 5, "json": True},
+        ),
+        (
+            ["ablate", "c.json", "m.jsonl"],
+            {"command": "ablate", "func": "cmd_ablate", "config": "c.json", "manifest": "m.jsonl",
+             "eval_manifest": None, "steps": [24, 54, 100], "seed": 0, "out": None, "json": False},
+        ),
+        (
+            ["ablate", "c.json", "m.jsonl", "--eval-manifest", "e.jsonl", "--steps", "2", "3", "--seed", "5",
+             "--out", "t.json", "--json"],
+            {"command": "ablate", "func": "cmd_ablate", "config": "c.json", "manifest": "m.jsonl",
+             "eval_manifest": "e.jsonl", "steps": [2, 3], "seed": 5, "out": "t.json", "json": True},
+        ),
+    ],
+    ids=[f"{cmd}-{argv}" for cmd in ("analyze", "blur", "gendata", "train", "sample", "eval", "ablate")
+         for argv in ("bare", "full")],
+)
+def test_parsed_namespace_pinned(argv, expected):
+    # positional order and every default, for a bare and a full argv per subcommand
+    parsed = vars(cli.build_parser().parse_args(argv))
+    parsed["func"] = parsed["func"].__name__
+    assert parsed == expected
+
+
 class TestSharedParser:
     """``main`` reuses one parser per process; no call may leave state in it."""
 

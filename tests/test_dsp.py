@@ -545,12 +545,13 @@ class TestGaussianBlur2d:
 
 def per_range_blur(data, taps, ranges):
     """The per-range loop: copy the whole spectrogram, then blur each range
-    in turn with ``reflect_conv1d`` along time, then frequency."""
+    in turn with ``reflect_conv1d`` along time (on the transposed columns),
+    then frequency."""
     out = data.copy()
     for start, end in ranges:
         sub = out[:, start:end]
-        sub = dsp.reflect_conv1d(sub, taps, axis=1)
-        sub = dsp.reflect_conv1d(sub, taps, axis=0)
+        sub = dsp.reflect_conv1d(sub.T, taps).T
+        sub = dsp.reflect_conv1d(sub, taps)
         out[:, start:end] = sub
     return out
 

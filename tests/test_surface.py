@@ -136,3 +136,7 @@ def test_each_fact_has_one_home():
     # the arch's validity lives in _shapes, and the WAV reader raises one error
     assert not hasattr(denoiser, "_parse_arch")
     assert [n for n in ("UnreadableWavError", "UnsupportedWavEncodingError", "EmptyAudioError") if hasattr(dsp, n)] == []
+    # a bad value is a ValueError, mapped to its exit code in main alone, and
+    # the convolution primitive runs along one axis
+    assert not hasattr(cli, "ParamError")
+    assert list(inspect.signature(dsp.reflect_conv1d).parameters) == ["arr", "taps"]
