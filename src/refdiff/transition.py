@@ -27,18 +27,6 @@ from .dsp import MelSpectrogram, gaussian_blur_2d, reflect_conv1d
 
 
 @dataclass(frozen=True)
-class EnergyRatioSeries:
-    """Raw and smoothed high/low band energy ratio for one spectrogram."""
-
-    raw: np.ndarray
-    smoothed: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(self.smoothed.mean())
-
-
-@dataclass(frozen=True)
 class TransitionRegionSet:
     """Sorted, merged frame intervals [start, end) marking transitions,
     and the sorted transition frames they were built around."""
@@ -130,21 +118,20 @@ def smooth_ratio(ratio: np.ndarray, k: int) -> np.ndarray:
     return reflect_conv1d(ratio, np.ones(k)) / k
 
 
-def detect_transition_points(series: EnergyRatioSeries) -> list[int]:
+def detect_transition_points(smoothed: np.ndarray) -> list[int]:
     """Frames where the smoothed ratio crosses its mean.
 
     The deviation sign uses sign(0) := +1, and every index t >= 1 whose
     sign differs from t-1 is reported.
     """
-    smoothed = series.smoothed
     if smoothed.size < 2:
         raise ValueError("need at least two frames to detect transitions")
-    above = smoothed - series.mean >= 0.0
+    above = smoothed - smoothed.mean() >= 0.0
     return (np.flatnonzero(above[1:] != above[:-1]) + 1).tolist()
 
 
-def transition_centres(series: EnergyRatioSeries, w: int) -> list[int]:
-    """Transition frames from the mean crossings of ``series``.
+def transition_centres(smoothed: np.ndarray, w: int) -> list[int]:
+    """Transition frames from the mean crossings of the smoothed ratio.
 
     A rise above the mean at p followed by the fall back below it at
     q <= p + 2w bounds one excursion, the bump a transition makes in the
@@ -152,8 +139,8 @@ def transition_centres(series: EnergyRatioSeries, w: int) -> list[int]:
     crossing is a transition at its own frame.  Without this pairing the
     w-frame windows would sit on the bump's flanks and miss its centre.
     """
-    points = detect_transition_points(series)
-    above = series.smoothed >= series.mean
+    points = detect_transition_points(smoothed)
+    above = smoothed >= smoothed.mean()
     centres = []
     i = 0
     while i < len(points):
@@ -208,19 +195,19 @@ def weight_map(regions: TransitionRegionSet, n_mels: int, lambda_in: float) -> W
 
 def analyze(
     mel: MelSpectrogram, cfg: TransitionConfig = TransitionConfig()
-) -> tuple[EnergyRatioSeries, TransitionRegionSet]:
+) -> tuple[np.ndarray, TransitionRegionSet]:
     """Full detector: band energies -> ratio -> smoothing -> crossings ->
-    transition centres -> regions."""
+    transition centres -> regions.  Returns the smoothed ratio with the
+    regions."""
     # a tiny eps over a silent low band can push the ratio, its smoothing
     # or its mean past float64; that is reported here, not as NaN crossings
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = energy_ratio(*band_energies(mel), cfg.eps)
-        series = EnergyRatioSeries(raw, smooth_ratio(raw, cfg.smooth_k))
-        if not np.isfinite(series.mean):
+        smoothed = smooth_ratio(energy_ratio(*band_energies(mel), cfg.eps), cfg.smooth_k)
+        if not np.isfinite(smoothed.mean()):
             raise ValueError(f"energy ratio overflows float64 at eps={cfg.eps}")
-    points = transition_centres(series, cfg.window_w)
+    points = transition_centres(smoothed, cfg.window_w)
     regions = build_regions(points, cfg.window_w, mel.n_frames)
-    return series, regions
+    return smoothed, regions
 
 
 def region_report(regions: TransitionRegionSet, hop: int, cfg: TransitionConfig, lambda_in: float) -> dict:

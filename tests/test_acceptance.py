@@ -3,13 +3,17 @@
 Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail
 line per criterion.  Criteria 6-8 share three full desk-scale training
 runs (2,000 steps on the 64-sample seeded dataset) through a
-module-scoped fixture, so this module takes several minutes of CPU.
+module-scoped fixture, so this module takes several minutes of CPU; the
+fixture runs them two at a time, each in its own spawned process.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -182,11 +186,8 @@ def test_criterion_05b_substeps_match_bruteforce_exactly():
             b_smooth[t] = acc / k
         assert np.array_equal(smoothed, b_smooth), case
 
-        series = transition.EnergyRatioSeries(
-            raw=ratio, smoothed=smoothed
-        )
-        points = transition.detect_transition_points(series)
-        signs = [1 if v - series.mean >= 0 else -1 for v in smoothed]
+        points = transition.detect_transition_points(smoothed)
+        signs = [1 if v - smoothed.mean() >= 0 else -1 for v in smoothed]
         b_points = [t for t in range(1, T) if signs[t] != signs[t - 1]]
         assert points == b_points, case
 
@@ -194,38 +195,90 @@ def test_criterion_05b_substeps_match_bruteforce_exactly():
 # --- criteria 6-8: trained-model directions ---------------------------------
 
 
+# Pinned in the environment the pool's workers start with, as bench/run.py
+# pins them: BLAS reads them once, at load, and one thread per process
+# keeps every training bit-reproducible.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def train_and_evaluate(cfg, dataset, eval_steps):
+    """One pool job: train ``cfg`` on ``dataset`` and evaluate the
+    checkpoint at each of ``eval_steps`` (eval seed 0).
+
+    Returns the loss curve and the metrics, not the checkpoint: a pickled
+    checkpoint's arrays are no longer views into its flat vector.
+    """
+    ckpt, history = trainer.train(cfg, dataset)
+    return history.loss_curve, [trainer.evaluate(ckpt, dataset, s, seed=0) for s in eval_steps]
+
+
+def run_in_pool(jobs):
+    """Run ``train_and_evaluate`` jobs, (cfg, dataset, eval_steps) each, in
+    a spawned pool of 2 processes; results come back in job order."""
+    with pytest.MonkeyPatch.context() as mp:
+        for var in BLAS_THREAD_VARS:
+            mp.setenv(var, "1")
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(2, mp_context=context) as pool:
+            return list(pool.map(train_and_evaluate, *zip(*jobs)))
+
+
+def recipe_config(lambda_in, blur):
+    return trainer.TrainConfig(
+        total_steps=RECIPE_STEPS,
+        batch_size=8,
+        seed=RECIPE_SEED,
+        lambda_in=lambda_in,
+        blur=blur,
+        weighting=True,
+        reference=True,
+    )
+
+
 @pytest.fixture(scope="module")
 def recipe_runs(seeded_dataset):
-    """Three full desk-scale trainings sharing seed and data draws."""
-
-    def run(lambda_in, blur):
-        cfg = trainer.TrainConfig(
-            total_steps=RECIPE_STEPS,
-            batch_size=8,
-            seed=RECIPE_SEED,
-            lambda_in=lambda_in,
-            blur=blur,
-            weighting=True,
-            reference=True,
-        )
-        ckpt, history = trainer.train(cfg, seeded_dataset)
-        return ckpt, history.loss_curve
-
-    full_ckpt, full_curve = run(lambda_in=2.0, blur=True)
-    lam1_ckpt, _ = run(lambda_in=1.0, blur=True)
-    noblur_ckpt, _ = run(lambda_in=2.0, blur=False)
+    """Three full desk-scale trainings sharing seed and data draws, run two
+    at a time; the full run's job, with two evaluations, goes first."""
+    (full_curve, (full, full24)), (_, (lam1,)), (_, (noblur,)) = run_in_pool(
+        [
+            (recipe_config(lambda_in=2.0, blur=True), seeded_dataset, (100, 24)),
+            (recipe_config(lambda_in=1.0, blur=True), seeded_dataset, (100,)),
+            (recipe_config(lambda_in=2.0, blur=False), seeded_dataset, (100,)),
+        ]
+    )
     return {
-        "full": full_ckpt,
         "full_curve": full_curve,
-        "lam1": lam1_ckpt,
-        "noblur": noblur_ckpt,
-        "metrics": {
-            "full": trainer.evaluate(full_ckpt, seeded_dataset, 100, seed=0),
-            "lam1": trainer.evaluate(lam1_ckpt, seeded_dataset, 100, seed=0),
-            "noblur": trainer.evaluate(noblur_ckpt, seeded_dataset, 100, seed=0),
-            "full24": trainer.evaluate(full_ckpt, seeded_dataset, 24, seed=0),
-        },
+        "metrics": {"full": full, "lam1": lam1, "noblur": noblur, "full24": full24},
     }
+
+
+def test_pool_returns_what_in_process_runs_return():
+    """The fixture's pool reproduces in-process trainings and evaluations
+    byte for byte, on a tiny config."""
+    dataset = synthgen.make_dataset(4, seed=1)
+    jobs = [
+        (
+            trainer.TrainConfig(
+                total_steps=6, batch_size=2, hidden=8, depth=2, step_dim=8, seed=seed,
+                lambda_in=lambda_in, blur=blur,
+            ),
+            dataset,
+            (3, 5),
+        )
+        for seed, lambda_in, blur in ((0, 2.0, True), (1, 1.0, True), (2, 2.0, False))
+    ]
+    for (curve, metrics), job in zip(run_in_pool(jobs), jobs, strict=True):
+        want_curve, want_metrics = train_and_evaluate(*job)
+        assert np.array(curve).tobytes() == np.array(want_curve).tobytes()
+        got = np.array([dataclasses.astuple(m) for m in metrics])
+        want = np.array([dataclasses.astuple(m) for m in want_metrics])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_criterion_06_weighted_loss_direction(recipe_runs):

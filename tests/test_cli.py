@@ -731,6 +731,34 @@ class TestMelBinMismatch:
         assert calls == []
 
 
+def test_ablate_eval_manifest_scores_the_held_out_items(tmp_path, capsys):
+    # every variant and step count is scored on the held-out manifest's
+    # entries, n_mels x its total frames, not on the training set's
+    train_dir, held_dir = tmp_path / "train", tmp_path / "held"
+    for out, n, seed in ((train_dir, "3", "1"), (held_dir, "2", "7")):
+        assert run_cli(capsys, "gendata", "--n", n, "--seed", seed, "--out", str(out))[0] == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"total_steps": 2, "batch_size": 1, "hidden": 6, "depth": 1,
+                                    "step_dim": 4, "schedule_T": 10, "seed": 0}))
+    code, out, _ = run_cli(
+        capsys, "ablate", str(cfg_path), str(train_dir / "manifest.jsonl"),
+        "--eval-manifest", str(held_dir / "manifest.jsonl"), "--steps", "2", "--json",
+    )
+    assert code == 0
+    table = json.loads(out)
+
+    def entries(directory):
+        dataset = synthgen.load_dataset(directory / "manifest.jsonl")
+        return sum(s.gt_mel.data.size for s in dataset.samples)
+
+    held, train = entries(held_dir), entries(train_dir)
+    assert held != train
+    scored = [v["metrics"] for v in table["variants"].values()] + list(table["steps"].values())
+    assert len(scored) == len(trainer.ABLATION_VARIANTS) + 1
+    for metrics in scored:
+        assert metrics["n_region"] + metrics["n_nonregion"] == held
+
+
 class TestManifestNorm:
     @pytest.mark.parametrize(
         "norm",

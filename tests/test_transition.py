@@ -145,10 +145,7 @@ class TestSmoothRatio:
 
 
 def series_from(smoothed):
-    smoothed = np.asarray(smoothed, dtype=np.float64)
-    return transition.EnergyRatioSeries(
-        raw=np.abs(smoothed), smoothed=smoothed
-    )
+    return np.asarray(smoothed, dtype=np.float64)
 
 
 class TestDetectTransitionPoints:
@@ -169,7 +166,7 @@ class TestDetectTransitionPoints:
             s = rng.uniform(0, 2, T)
             series = series_from(s)
             assert transition.detect_transition_points(series) == brute_sign_points(
-                s, series.mean
+                s, series.mean()
             )
 
     def test_affine_invariance(self):
@@ -376,8 +373,9 @@ class TestWeightMap:
 class TestAnalyze:
     def test_silence_no_regions(self):
         mel = linear_mel(np.zeros((8, 30)))
-        series, regions = transition.analyze(mel)
-        assert np.all(series.raw == 0.0)
+        _, regions = transition.analyze(mel)
+        eps = transition.TransitionConfig().eps
+        assert np.all(transition.energy_ratio(*transition.band_energies(mel), eps) == 0.0)
         assert regions.regions == ()
 
     def test_two_note_gt_single_region(self):
@@ -423,10 +421,19 @@ class TestAnalyze:
     def test_finite_on_random_input(self):
         rng = np.random.default_rng(7)
         mel = linear_mel(rng.uniform(0, 1, (4, 16)))
-        series, regions = transition.analyze(mel)
-        assert np.all(np.isfinite(series.raw))
-        assert np.all(np.isfinite(series.smoothed))
+        smoothed, regions = transition.analyze(mel)
+        eps = transition.TransitionConfig().eps
+        assert np.all(np.isfinite(transition.energy_ratio(*transition.band_energies(mel), eps)))
+        assert np.all(np.isfinite(smoothed))
         assert regions.total_frames == 16
+
+    def test_returns_the_smoothed_ratio(self):
+        rng = np.random.default_rng(8)
+        mel = linear_mel(rng.uniform(0, 1, (6, 40)))
+        for cfg in (transition.TransitionConfig(), transition.TransitionConfig(smooth_k=3, eps=1e-3)):
+            smoothed, _ = transition.analyze(mel, cfg)
+            ratio = transition.energy_ratio(*transition.band_energies(mel), cfg.eps)
+            assert smoothed.tobytes() == transition.smooth_ratio(ratio, cfg.smooth_k).tobytes()
 
 
 class TestRegionReport:
