@@ -12,8 +12,11 @@ import hashlib
 import json
 import math
 import multiprocessing
+import runpy
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,27 +198,28 @@ def test_criterion_05b_substeps_match_bruteforce_exactly():
 # --- criteria 6-8: trained-model directions ---------------------------------
 
 
-# Pinned in the environment the pool's workers start with, as bench/run.py
-# pins them: BLAS reads them once, at load, and one thread per process
-# keeps every training bit-reproducible.
-BLAS_THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
+# The variables bench/run.py pins, read from it, are pinned in the
+# environment the pool's workers start with: BLAS reads them once, at
+# load, and one thread per process keeps every training bit-reproducible.
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+BLAS_THREAD_VARS = runpy.run_path(str(BENCH_RUN))["BLAS_THREAD_VARS"]
 
 
 def train_and_evaluate(cfg, dataset, eval_steps):
     """One pool job: train ``cfg`` on ``dataset`` and evaluate the
     checkpoint at each of ``eval_steps`` (eval seed 0).
 
-    Returns the loss curve and the metrics, not the checkpoint: a pickled
-    checkpoint's arrays are no longer views into its flat vector.
+    Any warning raises, as the suite's ``filterwarnings = ["error"]`` makes
+    it in-process; a spawned worker does not inherit pytest's filters, and
+    the raised warning pickles back to fail the caller.  Returns the loss
+    curve and the metrics, not the checkpoint: a pickled checkpoint's
+    arrays are no longer views into its flat vector.
     """
-    ckpt, history = trainer.train(cfg, dataset)
-    return history.loss_curve, [trainer.evaluate(ckpt, dataset, s, seed=0) for s in eval_steps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ckpt, history = trainer.train(cfg, dataset)
+        metrics = [trainer.evaluate(ckpt, dataset, s, seed=0) for s in eval_steps]
+    return history.loss_curve, metrics
 
 
 def run_in_pool(jobs):
