@@ -12,10 +12,17 @@ Evaluation samples each item back from noise with ``sample_item``
 (x0 clipped to the normalized data range) and reports the mean squared
 error against the ground truth in the normalized log-mel domain, split
 into transition-region and non-region entries using the oracle regions.
+
+Independent trainings, each with its evaluations, run as
+``train_and_evaluate`` jobs in ``run_in_pool``: two spawned processes,
+one BLAS thread each, so every result equals an in-process run's.
+``ablation_suite`` and the acceptance fixture both use it.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -333,6 +340,81 @@ def evaluate(ckpt: Checkpoint, dataset: SynthDataset, steps: int, seed: int = 0)
     )
 
 
+def train_and_evaluate(
+    config: TrainConfig,
+    dataset: SynthDataset,
+    steps: tuple[int, ...],
+    eval_dataset: SynthDataset | None = None,
+    eval_seed: int = 0,
+) -> tuple[list[float], list[Metrics]]:
+    """One pool job: train ``config`` on ``dataset`` and evaluate the
+    checkpoint on ``eval_dataset`` (default: the training set) at each of
+    ``steps``.
+
+    Returns the loss curve and one ``Metrics`` per step count, not the
+    checkpoint: a pickled checkpoint's arrays are no longer views into its
+    flat vector.
+    """
+    ckpt, history = train(config, dataset)
+    eval_ds = dataset if eval_dataset is None else eval_dataset
+    return history.loss_curve, [evaluate(ckpt, eval_ds, s, seed=eval_seed) for s in steps]
+
+
+# BLAS reads these once, at load, so a worker starts with them set; one
+# thread per process keeps every training bit-reproducible.  bench/run.py
+# pins the same five.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def _job_under(filters: list, job: tuple) -> tuple[list[float], list[Metrics]]:
+    """``train_and_evaluate(*job)`` under the caller's warning ``filters``,
+    so a warning the caller turns into an error raises in the worker too."""
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        for action, message, category, module, lineno in filters:
+            message, module = (getattr(p, "pattern", "") for p in (message, module))
+            warnings.filterwarnings(action, message, category, module, lineno, append=True)
+        return train_and_evaluate(*job)
+
+
+def run_in_pool(jobs: list[tuple]) -> list[tuple[list[float], list[Metrics]]]:
+    """Run ``train_and_evaluate`` jobs, an argument tuple each, two at a
+    time in spawned processes pinned to one BLAS thread; results come back
+    in job order.
+
+    Each job runs under the caller's warning filters.  The first job to
+    raise cancels the jobs not yet started, and its exception reaches the
+    caller once the running ones end.  Spawn imports the caller's main
+    module again in each worker, so a script that calls this guards its
+    entry point with ``if __name__ == "__main__"``.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    filters = list(warnings.filters)
+    pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        futures = [pool.submit(_job_under, filters, job) for job in jobs]
+        for future in as_completed(futures):
+            future.result()
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 ABLATION_VARIANTS = {
     "full": {"blur": True, "weighting": True, "reference": True},
     "no_blur": {"blur": False, "weighting": True, "reference": True},
@@ -354,30 +436,28 @@ def ablation_suite(
     Every variant trains with the same seed so comparisons share their
     random draws, and is evaluated at the full chain of
     ``base_config.schedule_T`` steps; the step sweep evaluates the full
-    model's checkpoint, reusing its variant metrics at the full chain.
-    Pass ``eval_dataset`` to measure on held-out samples instead of the
-    training set.
+    model's checkpoint once per distinct count, reusing its variant
+    metrics at the full chain.  The variants run through ``run_in_pool``,
+    the full one first.  Pass ``eval_dataset`` to measure on held-out
+    samples instead of the training set.
     """
-    eval_ds = eval_dataset if eval_dataset is not None else dataset
-    out = {
-        "eval": {"steps": base_config.schedule_T, "seed": eval_seed},
-        "variants": {},
-        "steps": {},
+    full_chain = base_config.schedule_T
+    # every variant shares the schedule: one too large to allocate fails
+    # here, before any worker starts
+    make_schedule(full_chain, base_config.beta_min, base_config.beta_max)
+    full_steps = tuple(dict.fromkeys((full_chain, *steps_grid)))
+    jobs = [
+        (replace(base_config, **flags), dataset, full_steps if name == "full" else (full_chain,),
+         eval_dataset, eval_seed)
+        for name, flags in ABLATION_VARIANTS.items()
+    ]
+    results = run_in_pool(jobs)
+    full = dict(zip(full_steps, results[0][1]))
+    return {
+        "eval": {"steps": full_chain, "seed": eval_seed},
+        "variants": {
+            name: {"flags": flags, "final_loss": curve[-1], "metrics": metrics[0].to_json()}
+            for (name, flags), (curve, metrics) in zip(ABLATION_VARIANTS.items(), results)
+        },
+        "steps": {str(s): full[s].to_json() for s in steps_grid},
     }
-    full_ckpt = full_metrics = None
-    for name, flags in ABLATION_VARIANTS.items():
-        cfg = replace(base_config, **flags)
-        ckpt, history = train(cfg, dataset)
-        metrics = evaluate(ckpt, eval_ds, base_config.schedule_T, seed=eval_seed)
-        out["variants"][name] = {
-            "flags": flags,
-            "final_loss": history.loss_curve[-1],
-            "metrics": metrics.to_json(),
-        }
-        if name == "full":
-            full_ckpt, full_metrics = ckpt, metrics
-    for steps in steps_grid:
-        full_chain = steps == base_config.schedule_T
-        metrics = full_metrics if full_chain else evaluate(full_ckpt, eval_ds, steps, seed=eval_seed)
-        out["steps"][str(steps)] = metrics.to_json()
-    return out

@@ -4,19 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail
 line per criterion.  Criteria 6-8 share three full desk-scale training
 runs (2,000 steps on the 64-sample seeded dataset) through a
 module-scoped fixture, so this module takes several minutes of CPU; the
-fixture runs them two at a time, each in its own spawned process.
+fixture hands them to ``trainer.run_in_pool``, which runs them two at a
+time, each in its own spawned process under the suite's warning filters.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
-import runpy
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,41 +193,6 @@ def test_criterion_05b_substeps_match_bruteforce_exactly():
 # --- criteria 6-8: trained-model directions ---------------------------------
 
 
-# The variables bench/run.py pins, read from it, are pinned in the
-# environment the pool's workers start with: BLAS reads them once, at
-# load, and one thread per process keeps every training bit-reproducible.
-BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-BLAS_THREAD_VARS = runpy.run_path(str(BENCH_RUN))["BLAS_THREAD_VARS"]
-
-
-def train_and_evaluate(cfg, dataset, eval_steps):
-    """One pool job: train ``cfg`` on ``dataset`` and evaluate the
-    checkpoint at each of ``eval_steps`` (eval seed 0).
-
-    Any warning raises, as the suite's ``filterwarnings = ["error"]`` makes
-    it in-process; a spawned worker does not inherit pytest's filters, and
-    the raised warning pickles back to fail the caller.  Returns the loss
-    curve and the metrics, not the checkpoint: a pickled checkpoint's
-    arrays are no longer views into its flat vector.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ckpt, history = trainer.train(cfg, dataset)
-        metrics = [trainer.evaluate(ckpt, dataset, s, seed=0) for s in eval_steps]
-    return history.loss_curve, metrics
-
-
-def run_in_pool(jobs):
-    """Run ``train_and_evaluate`` jobs, (cfg, dataset, eval_steps) each, in
-    a spawned pool of 2 processes; results come back in job order."""
-    with pytest.MonkeyPatch.context() as mp:
-        for var in BLAS_THREAD_VARS:
-            mp.setenv(var, "1")
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(2, mp_context=context) as pool:
-            return list(pool.map(train_and_evaluate, *zip(*jobs)))
-
-
 def recipe_config(lambda_in, blur):
     return trainer.TrainConfig(
         total_steps=RECIPE_STEPS,
@@ -249,7 +209,7 @@ def recipe_config(lambda_in, blur):
 def recipe_runs(seeded_dataset):
     """Three full desk-scale trainings sharing seed and data draws, run two
     at a time; the full run's job, with two evaluations, goes first."""
-    (full_curve, (full, full24)), (_, (lam1,)), (_, (noblur,)) = run_in_pool(
+    (full_curve, (full, full24)), (_, (lam1,)), (_, (noblur,)) = trainer.run_in_pool(
         [
             (recipe_config(lambda_in=2.0, blur=True), seeded_dataset, (100, 24)),
             (recipe_config(lambda_in=1.0, blur=True), seeded_dataset, (100,)),
@@ -260,29 +220,6 @@ def recipe_runs(seeded_dataset):
         "full_curve": full_curve,
         "metrics": {"full": full, "lam1": lam1, "noblur": noblur, "full24": full24},
     }
-
-
-def test_pool_returns_what_in_process_runs_return():
-    """The fixture's pool reproduces in-process trainings and evaluations
-    byte for byte, on a tiny config."""
-    dataset = synthgen.make_dataset(4, seed=1)
-    jobs = [
-        (
-            trainer.TrainConfig(
-                total_steps=6, batch_size=2, hidden=8, depth=2, step_dim=8, seed=seed,
-                lambda_in=lambda_in, blur=blur,
-            ),
-            dataset,
-            (3, 5),
-        )
-        for seed, lambda_in, blur in ((0, 2.0, True), (1, 1.0, True), (2, 2.0, False))
-    ]
-    for (curve, metrics), job in zip(run_in_pool(jobs), jobs, strict=True):
-        want_curve, want_metrics = train_and_evaluate(*job)
-        assert np.array(curve).tobytes() == np.array(want_curve).tobytes()
-        got = np.array([dataclasses.astuple(m) for m in metrics])
-        want = np.array([dataclasses.astuple(m) for m in want_metrics])
-        assert got.tobytes() == want.tobytes()
 
 
 def test_criterion_06_weighted_loss_direction(recipe_runs):

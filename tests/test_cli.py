@@ -719,7 +719,7 @@ class TestMelBinMismatch:
         self, dataset_dir, manifest_40, tmp_path, capsys, monkeypatch
     ):
         calls = []
-        monkeypatch.setattr(trainer, "train", lambda *args: calls.append(args))
+        monkeypatch.setattr(trainer, "run_in_pool", calls.append)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
         manifest = str(dataset_dir / "manifest.jsonl")
@@ -1154,7 +1154,7 @@ class TestAblateCmd:
         self, dataset_dir, tmp_path, capsys, monkeypatch, steps
     ):
         calls = []
-        monkeypatch.setattr(trainer, "train", lambda *args: calls.append(args))
+        monkeypatch.setattr(trainer, "run_in_pool", calls.append)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"schedule_T": 50}))
         step_args = ["--steps", *steps] if steps else []
@@ -1179,6 +1179,32 @@ class TestAblateCmd:
         doc = json.loads(out)
         assert doc["eval"]["steps"] == 50
         assert set(doc["steps"]) == {"24", "50"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_a_worker_exit4(self, dataset_dir, tmp_path, capsys):
+        # the worker runs under this test's filters, so it overflows
+        # quietly, and the error it then raises reaches main
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"total_steps": 3, "batch_size": 1, "hidden": 2, "depth": 1,
+                                        "step_dim": 2, "learning_rate": 1e100}))
+        code, out, err = run_cli(capsys, "ablate", str(cfg_path), str(dataset_dir / "manifest.jsonl"))
+        assert (code, out, err) == (4, "", "numerical failure: non-finite loss at step 1\n")
+
+    def test_memory_error_in_a_worker_exit3(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        # faked: a real allocation this large could succeed on a host that
+        # overcommits memory; the training set raises it in the worker
+        from test_trainer import JobProbe
+
+        message = "Unable to allocate 745 GiB for an array with shape (100000000000,)"
+        real = synthgen.load_dataset
+        monkeypatch.setattr(
+            synthgen, "load_dataset", lambda path: JobProbe(real(path), tmp_path / "starts", MemoryError(message))
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"total_steps": 1, "hidden": 2, "depth": 1, "step_dim": 2}))
+        code, out, err = run_cli(capsys, "ablate", str(cfg_path), str(dataset_dir / "manifest.jsonl"))
+        assert (code, out, err) == (3, "", f"parameter error: {message}\n")
+        assert (tmp_path / "starts").exists()
 
 
 class TestScheduleTooLarge:
@@ -1334,8 +1360,10 @@ class TestOutputPaths:
 
     @pytest.fixture
     def train_calls(self, monkeypatch):
+        # train trains in process, ablate through the pool
         calls = []
         monkeypatch.setattr(trainer, "train", lambda *args: calls.append(args))
+        monkeypatch.setattr(trainer, "run_in_pool", calls.append)
         return calls
 
     @staticmethod

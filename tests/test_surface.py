@@ -67,6 +67,26 @@ def test_diffusion_and_denoiser_import_nothing_else_from_the_package():
     assert run.stdout.split() == ["refdiff", "refdiff.denoiser", "refdiff.diffusion"]
 
 
+def test_trainer_holds_the_only_pool():
+    # ablate and the acceptance fixture share trainer's job and pool, which
+    # imports its process machinery only when it runs: at module level it
+    # would weigh on every process that imports the trainer
+    for p in sorted((ROOT / "tests").glob("*.py")):
+        assert {"train_and_evaluate", "run_in_pool"}.isdisjoint(defined_names(ast.parse(p.read_text()))), p.name
+    probe = "import sys, refdiff.cli; print(sorted({'multiprocessing', 'concurrent'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC))
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+    # bench/run.py keeps its own copy of the BLAS variables the pool pins
+    pinned = [
+        node.value for node in ast.parse((ROOT / "bench" / "run.py").read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["BLAS_THREAD_VARS"]
+    ]
+    assert [ast.literal_eval(v) for v in pinned] == [trainer.BLAS_THREAD_VARS]
+
+
 def test_train_and_dataset_configs_share_no_field():
     # a setting held by both could disagree between them
     train = {f.name for f in dataclasses.fields(trainer.TrainConfig)}

@@ -1,4 +1,8 @@
-"""Optimizer, training loop, metrics and ablation plumbing."""
+"""Optimizer, training loop, metrics, the job pool and ablation plumbing."""
+
+import dataclasses
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +29,23 @@ def tiny_train_config(**kw):
 def small_dataset():
     cfg = synthgen.DatasetConfig(dur_min=8, dur_max=16, notes_min=3, notes_max=4)
     return synthgen.make_dataset(4, seed=11, cfg=cfg)
+
+
+class JobProbe(synthgen.SynthDataset):
+    """A training set whose length, read once as a training starts, appends
+    a line to the file ``log`` and then raises ``error`` if one is given.
+    It is module-level, so a spawned pool worker can unpickle it."""
+
+    def __init__(self, dataset, log, error=None):
+        super().__init__(**vars(dataset))
+        self.log, self.error = log, error
+
+    def __len__(self):
+        with open(self.log, "a", encoding="utf-8") as fh:
+            fh.write("started\n")
+        if self.error is not None:
+            raise self.error
+        return super().__len__()
 
 
 class TestAdam:
@@ -325,8 +346,10 @@ class TestAblationSuite:
             }
         assert set(table["steps"]) == {"3", "5"}
 
-    def test_full_chain_scored_once(self, small_dataset, monkeypatch):
-        # the step sweep reuses the full variant's metrics at schedule_T
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The step counts ``evaluate`` is called with, the jobs run in
+        process: a patch does not reach a pool worker."""
         calls = []
         real = trainer.evaluate
 
@@ -335,7 +358,89 @@ class TestAblationSuite:
             return real(ckpt, dataset, steps, seed=seed)
 
         monkeypatch.setattr(trainer, "evaluate", evaluate)
+        monkeypatch.setattr(trainer, "run_in_pool", lambda jobs: [trainer.train_and_evaluate(*j) for j in jobs])
+        return calls
+
+    def test_full_chain_scored_once(self, small_dataset, evaluated):
+        # the step sweep reuses the full variant's metrics at schedule_T
         cfg = tiny_train_config(total_steps=2, schedule_T=5)
         table = trainer.ablation_suite(cfg, small_dataset, steps_grid=(3, 5))
-        assert calls == [5] * len(trainer.ABLATION_VARIANTS) + [3]
+        assert evaluated == [5, 3] + [5] * (len(trainer.ABLATION_VARIANTS) - 1)
         assert table["steps"]["5"] == table["variants"]["full"]["metrics"]
+
+    def test_each_step_count_scored_once(self, small_dataset, evaluated):
+        cfg = tiny_train_config(total_steps=2, schedule_T=5)
+        table = trainer.ablation_suite(cfg, small_dataset, steps_grid=(3, 3, 5, 3))
+        assert evaluated == [5, 3] + [5] * (len(trainer.ABLATION_VARIANTS) - 1)
+        assert list(table["steps"]) == ["3", "5"]
+
+    def test_table_matches_a_sequential_reference(self, small_dataset):
+        # the pooled suite against variants trained and scored one after
+        # another in this process, on held-out items at another eval seed
+        cfg = tiny_train_config(total_steps=3, schedule_T=6)
+        held = synthgen.make_dataset(2, seed=5, cfg=small_dataset.cfg)
+        grid = (4, 6, 2, 4)
+        table = trainer.ablation_suite(cfg, small_dataset, steps_grid=grid, eval_seed=2, eval_dataset=held)
+        want = {"eval": {"steps": 6, "seed": 2}, "variants": {}, "steps": {}}
+        for name, flags in trainer.ABLATION_VARIANTS.items():
+            ckpt, history = trainer.train(dataclasses.replace(cfg, **flags), small_dataset)
+            metrics = trainer.evaluate(ckpt, held, 6, seed=2).to_json()
+            want["variants"][name] = {"flags": flags, "final_loss": history.loss_curve[-1], "metrics": metrics}
+            if name == "full":
+                want["steps"] = {str(s): trainer.evaluate(ckpt, held, s, seed=2).to_json() for s in grid}
+        assert json.dumps(table, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_no_weighting_trains_as_lambda_one(self, small_dataset):
+        # prepare_sample weighs the regions by 1.0 either way, so the
+        # no_weighting variant and a lambda_in=1 run train one network
+        def flat(**kw):
+            ckpt, _ = trainer.train(tiny_train_config(total_steps=4, **kw), small_dataset)
+            return ckpt.params.flat.tobytes()
+
+        assert flat(weighting=False) == flat(lambda_in=1.0) != flat()
+
+
+class TestPool:
+    def test_pool_returns_what_in_process_runs_return(self):
+        """The pool reproduces in-process trainings and evaluations byte
+        for byte, on a tiny config."""
+        dataset = synthgen.make_dataset(4, seed=1)
+        jobs = [
+            (
+                trainer.TrainConfig(
+                    total_steps=6, batch_size=2, hidden=8, depth=2, step_dim=8, seed=seed,
+                    lambda_in=lambda_in, blur=blur,
+                ),
+                dataset,
+                (3, 5),
+            )
+            for seed, lambda_in, blur in ((0, 2.0, True), (1, 1.0, True), (2, 2.0, False))
+        ]
+        for (curve, metrics), job in zip(trainer.run_in_pool(jobs), jobs, strict=True):
+            want_curve, want_metrics = trainer.train_and_evaluate(*job)
+            assert np.array(curve).tobytes() == np.array(want_curve).tobytes()
+            got = np.array([dataclasses.astuple(m) for m in metrics])
+            want = np.array([dataclasses.astuple(m) for m in want_metrics])
+            assert got.tobytes() == want.tobytes()
+
+    def test_jobs_run_under_the_callers_warning_filters(self, small_dataset):
+        # at this learning rate the first step overflows, and the next
+        # loss is non-finite
+        job = (tiny_train_config(total_steps=3, learning_rate=1e100), small_dataset, (5,))
+        # the suite's filterwarnings = ["error"] raises the overflow in the worker
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            trainer.run_in_pool([job])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(trainer.TrainingDivergedError, match="non-finite loss at step 1"):
+                trainer.run_in_pool([job])
+
+    def test_failing_job_cancels_the_jobs_not_started(self, small_dataset, tmp_path):
+        log = tmp_path / "starts"
+        cfg = tiny_train_config(total_steps=10, schedule_T=100)
+        jobs = [(cfg, JobProbe(small_dataset, log, ValueError("job 0 fails")), (100,))]
+        jobs += [(cfg, JobProbe(small_dataset, log), (100,)) for _ in range(9)]
+        with pytest.raises(ValueError, match="job 0 fails"):
+            trainer.run_in_pool(jobs)
+        # the executor had handed a few jobs to its call queue; the rest never started
+        assert 2 <= len(log.read_text().splitlines()) < len(jobs)
