@@ -51,7 +51,7 @@ def step_embedding(t: int, dim: int) -> np.ndarray:
 
 @dataclass
 class BlockParams:
-    conv_w: np.ndarray  # (2H, H, K)
+    conv_w: np.ndarray  # (2H, K*H): tap k's weights in columns k*H..(k+1)*H-1
     conv_b: np.ndarray  # (2H,)
 
 
@@ -128,9 +128,8 @@ def _shapes(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> list[tuple[int
         raise ValueError(f"every size must be at least 1, got {', '.join(small)}")
     if kernel % 2 == 0:
         raise ValueError("kernel must be a positive odd integer")
-    # conv weights are stored (2H, K, H): the (2H, H, K) view of that is
-    # what _flatten_conv turns back into a view instead of a copy
-    branch = [(hidden, n_mels), (hidden,)] + [(2 * hidden, kernel, hidden), (2 * hidden,)] * depth
+    # conv weights are the (2H, K*H) matrix that multiplies the windows
+    branch = [(hidden, n_mels), (hidden,)] + [(2 * hidden, kernel * hidden), (2 * hidden,)] * depth
     zero = [(hidden, hidden), (hidden,)] * depth
     heads = [(n_mels, hidden), (n_mels,), (hidden, step_dim), (hidden,), (hidden, cond_dim), (hidden,)]
     return branch + branch + zero + heads
@@ -145,7 +144,7 @@ def _zero_params(n_mels, hidden, depth, cond_dim, step_dim, kernel) -> DenoiserP
 
     def _branch() -> BranchParams:
         in_w, in_b = next(views), next(views)
-        blocks = [BlockParams(next(views).transpose(0, 2, 1), next(views)) for _ in range(depth)]
+        blocks = [BlockParams(next(views), next(views)) for _ in range(depth)]
         return BranchParams(in_w, in_b, blocks)
 
     denoise, ref = _branch(), _branch()
@@ -175,7 +174,9 @@ def init_params(
     _draw(params.denoise.in_w, n_mels)
     params.ref.in_w[...] = params.denoise.in_w
     for block, ref_block in zip(params.denoise.blocks, params.ref.blocks):
-        _draw(block.conv_w, hidden * kernel)
+        # drawn in (2H, H, K) order, so each seed keeps its bytes, and stored as the matrix
+        w = rng.standard_normal((2 * hidden, hidden, kernel)) / np.sqrt(hidden * kernel)
+        block.conv_w[...] = w.transpose(0, 2, 1).reshape(block.conv_w.shape)
         ref_block.conv_w[...] = block.conv_w
     _draw(params.out_w, hidden)
     _draw(params.step_w, step_dim)
@@ -224,13 +225,6 @@ class ForwardTrace:
         return self.den.x_in.shape
 
 
-def _flatten_conv(w: np.ndarray) -> np.ndarray:
-    """(C_out, C_in, K) weights as the (C_out, K*C_in) matrix that multiplies
-    the windows; a view for the arrays ``init_params`` makes, a copy otherwise."""
-    c_out, c_in, k = w.shape
-    return w.transpose(0, 2, 1).reshape(c_out, k * c_in)
-
-
 def _window_shifts(k: int, T: int):
     """Row block j of a K-tap 'same' window matrix over T frames holds the
     input shifted by j - (K-1)/2 frames, zero where that runs off either end.
@@ -257,15 +251,18 @@ def _conv_windows(h: np.ndarray, k: int) -> np.ndarray:
 
 
 def _conv_time_backward(
-    d_out: np.ndarray, windows: np.ndarray, flat_w: np.ndarray, d_w: np.ndarray, d_b: np.ndarray
+    d_out: np.ndarray, h: np.ndarray, w: np.ndarray, d_w: np.ndarray, d_b: np.ndarray
 ) -> np.ndarray:
-    """Add the weight and bias gradients into ``d_w`` (C_out, C_in, K) and
-    ``d_b``; return the gradient of the convolution's input."""
-    c_out, c_in, k = d_w.shape
-    T = d_out.shape[1]
-    d_w += (d_out @ windows.T).reshape(c_out, k, c_in).transpose(0, 2, 1)
+    """Backward through the convolution of ``h`` (C_in, T) by ``w``
+    (C_out, K*C_in): add the weight and bias gradients into ``d_w`` and
+    ``d_b``; return the gradient of ``h``."""
+    c_in, T = h.shape
+    k = w.shape[1] // c_in
+    windows = _conv_windows(h, k)
+    d_w += d_out @ windows.T
+    del windows  # so it and d_windows below are never held at once
     d_b += d_out.sum(axis=1)
-    d_windows = flat_w.T @ d_out
+    d_windows = w.T @ d_out
     d_h = np.zeros((c_in, T))
     d_h_flat = d_h.reshape(-1)
     n = d_h.size
@@ -301,7 +298,7 @@ def _run_branch(
     trace.hiddens.append(h)
     for i, block in enumerate(branch.blocks):
         # the zero-padded 'same' convolution along time, as one matmul
-        pre = _flatten_conv(block.conv_w) @ _conv_windows(h, block.conv_w.shape[2])
+        pre = block.conv_w @ _conv_windows(h, block.conv_w.shape[1] // hidden)
         pre += block.conv_b[:, None]
         halves = pre.reshape(2, hidden, -1)
         halves += bias
@@ -432,8 +429,7 @@ def _block_backward(
     d_b *= slope
     d_bias = d_a + d_b
     d_c += d_bias
-    windows = _conv_windows(branch.hiddens[i], grads.conv_w.shape[2])
-    d_in = _conv_time_backward(d_pre, windows, _flatten_conv(block.conv_w), grads.conv_w, grads.conv_b)
+    d_in = _conv_time_backward(d_pre, branch.hiddens[i], block.conv_w, grads.conv_w, grads.conv_b)
     d_in += d_h  # the residual add
     return d_in, d_bias
 
@@ -551,10 +547,10 @@ def grad_check(
 #   DenoiserParams.flat as float64 little-endian
 #
 # The payload is the flat vector itself: every array in its stored shape
-# from _shapes, in named_arrays order, so conv weights are (2H, K, H) in C
-# order.  Version 2 had the same values with each conv weight as a
-# (2H, H, K) C-order block, and version 1 had that layout but was trained
-# for a network without the output skip; neither is read.
+# from _shapes, in named_arrays order, so each conv weight is its (2H, K*H)
+# matrix in C order.  Version 2 had the same values with each conv weight
+# as a (2H, H, K) C-order block, and version 1 had that layout but was
+# trained for a network without the output skip; neither is read.
 
 CHECKPOINT_MAGIC = b"RDCK"
 CHECKPOINT_VERSION = 3

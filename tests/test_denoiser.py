@@ -1,6 +1,7 @@
 """Noise-predictor forward/backward against hand unrolls and finite differences."""
 
 import dataclasses
+import hashlib
 import struct
 import warnings
 
@@ -67,6 +68,19 @@ class TestInit:
             assert np.all(params.zero_w[i] == 0.0)
             assert np.all(params.zero_b[i] == 0.0)
 
+    def test_seeded_bytes_are_pinned(self, tmp_path):
+        # a seed gives these parameter and checkpoint bytes, whatever shape the arrays take
+        def sha(raw):
+            return hashlib.sha256(raw).hexdigest()
+
+        big = dn.init_params(n_mels=80, hidden=64, depth=4, cond_dim=2, step_dim=32, kernel=3, seed=0)
+        assert sha(big.flat.tobytes()) == "3c379d2101d05d009e7af23b3f22473b8282745c15a8c62caf4c8e5ddcd1b6b6"
+        tiny = dn.init_params(n_mels=3, hidden=4, depth=2, cond_dim=2, step_dim=4, kernel=5, seed=7)
+        assert sha(tiny.flat.tobytes()) == "d56eadc902a16756f8309d0c73c437cf407c3079bb66e5fea081eb4c8eca24e3"
+        dn.save_checkpoint(tmp_path / "t.rdck", tiny, {})
+        raw = (tmp_path / "t.rdck").read_bytes()
+        assert (len(raw), sha(raw)) == (6431, "272141331dc0e4f003245b524d9523bcaf71d222888e463bea2c0b26036e71e1")
+
     def test_named_arrays_order_stable(self):
         params = tiny_params()
         names = [name for name, _ in params.named_arrays()]
@@ -97,8 +111,8 @@ class TestLayout:
             p.flat[...] = np.arange(p.flat.size)  # each entry's value is its index in flat
             offset = 0
             for name, arr in p.named_arrays():
-                assert np.shares_memory(arr, p.flat), name
-                assert np.array_equal(np.sort(arr, axis=None), np.arange(offset, offset + arr.size)), name
+                assert np.shares_memory(arr, p.flat) and arr.flags.c_contiguous, name
+                assert np.array_equal(arr.ravel(), np.arange(offset, offset + arr.size)), name
                 offset += arr.size
             assert offset == p.flat.size
 
@@ -131,7 +145,7 @@ class TestReferenceForward:
 
         h0 = params.ref.in_w @ ref + params.ref.in_b[:, None]
         c = params.cond_w @ cond + params.cond_b[:, None]
-        w, b = params.ref.blocks[0].conv_w, params.ref.blocks[0].conv_b
+        w, b = params.ref.blocks[0].conv_w.reshape(4, 3, 2), params.ref.blocks[0].conv_b  # [o, k, i]
         T = 3
         pre = np.zeros((4, T))
         padded = np.zeros((2, T + 2))
@@ -141,7 +155,7 @@ class TestReferenceForward:
                 acc = b[o]
                 for i in range(2):
                     for k in range(3):
-                        acc += w[o, i, k] * padded[i, t + k]
+                        acc += w[o, k, i] * padded[i, t + k]
                 pre[o, t] = acc
         pre[:2] += c
         pre[2:] += c
@@ -193,13 +207,13 @@ class TestDenoiserForward:
         s = params.step_w @ emb + params.step_b
         c = params.cond_w @ cond + params.cond_b[:, None]
         h = params.denoise.in_w @ x_t + params.denoise.in_b[:, None]
-        w, b = params.denoise.blocks[0].conv_w, params.denoise.blocks[0].conv_b
+        w, b = params.denoise.blocks[0].conv_w.reshape(4, 3, 2), params.denoise.blocks[0].conv_b  # [o, k, i]
         padded = np.hstack([np.zeros((2, 1)), h, np.zeros((2, 1))])
         pre = np.zeros((4, 3))
         for t_i in range(3):
             for o in range(4):
                 pre[o, t_i] = b[o] + sum(
-                    w[o, i, k] * padded[i, t_i + k] for i in range(2) for k in range(3)
+                    w[o, k, i] * padded[i, t_i + k] for i in range(2) for k in range(3)
                 )
         pre[:2] += s[:, None] + c
         pre[2:] += s[:, None] + c
@@ -410,7 +424,7 @@ class TestCheckpointFormat:
 
     def test_parameter_bytes_are_the_flat_vector(self, tmp_path):
         # the payload is params.flat as little-endian float64, conv weights
-        # in their stored (2H, K, H) shape, and nothing follows it
+        # as their stored (2H, K*H) matrices, and nothing follows it
         params = tiny_params(randomize=22)
         path = tmp_path / "m.rdck"
         dn.save_checkpoint(path, params, {})
@@ -453,7 +467,7 @@ class TestCheckpointFormat:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_parameters(self, tmp_path, value):
         params = tiny_params(randomize=22)
-        params.denoise.blocks[0].conv_w[1, 2, 0] = value
+        params.denoise.blocks[0].conv_w[1, 2] = value
         path = tmp_path / "n.rdck"
         dn.save_checkpoint(path, params, {})
         with pytest.raises(ValueError, match="NaN or infinite"):

@@ -1,12 +1,14 @@
 """The training hot path against a plain reference implementation.
 
-The denoiser stores its convolution weights in the order the matmul
-reads them, builds its convolution windows in place, accumulates
-gradients into the batch sum and updates Adam in place.  None of that
-may change a single bit: the reference below is the straightforward
-version the optimized code replaced (C-ordered weights flattened by
-copy, padded copies, fresh gradient dicts, out-of-place arithmetic),
-and every comparison is on ``tobytes()``.
+The denoiser stores its convolution weights as the matrix the matmul
+reads, builds its convolution windows in place, accumulates gradients
+into the batch sum and updates Adam in place.  None of that may change
+a single bit: the reference below is the straightforward version the
+optimized code replaced ((C_out, C_in, K) weights flattened by copy,
+padded copies, fresh gradient dicts, out-of-place arithmetic), and
+every comparison is on ``tobytes()``.  The reference reads and writes
+the denoiser's (C_out, K*C_in) weight matrices at its boundary, with
+``ref_taps`` and ``ref_flat``.
 """
 
 import numpy as np
@@ -35,7 +37,13 @@ def ref_windows(h, k):
 
 
 def ref_flat(w):
+    """(C_out, C_in, K) weights as the (C_out, K*C_in) matrix."""
     return w.transpose(0, 2, 1).reshape(w.shape[0], w.shape[2] * w.shape[1])
+
+
+def ref_taps(w, c_in):
+    """A (C_out, K*C_in) weight matrix as a copy of the (C_out, C_in, K) weights."""
+    return w.reshape(w.shape[0], -1, c_in).transpose(0, 2, 1).copy()
 
 
 def ref_conv_time(h, w, b):
@@ -61,7 +69,7 @@ def ref_conv_time_backward(d_out, windows, w):
 def ref_branch(branch, x, bias, injections, H):
     tr = {"x": x, "h": [branch.in_w @ x + branch.in_b[:, None]], "win": [], "ta": [], "sb": []}
     for i, block in enumerate(branch.blocks):
-        pre, windows = ref_conv_time(tr["h"][-1], block.conv_w, block.conv_b)
+        pre, windows = ref_conv_time(tr["h"][-1], ref_taps(block.conv_w, H), block.conv_b)
         pre[:H] += bias
         pre[H:] += bias
         ta = np.tanh(pre[:H])
@@ -120,9 +128,9 @@ def ref_backward(p, tr, loss_grad):
         d_s += both.sum(axis=1)
         d_c += both
         d_w, d_bias, d_h_conv = ref_conv_time_backward(
-            np.concatenate([d_a, d_b]), den["win"][i], p.denoise.blocks[i].conv_w
+            np.concatenate([d_a, d_b]), den["win"][i], ref_taps(p.denoise.blocks[i].conv_w, H)
         )
-        grads[f"denoise.block{i}.conv_w"][...] = d_w
+        grads[f"denoise.block{i}.conv_w"][...] = ref_flat(d_w)
         grads[f"denoise.block{i}.conv_b"][...] = d_bias
         d_h = d_h + d_h_conv
     grads["denoise.in_w"][...] = d_h @ den["x"].T
@@ -136,9 +144,9 @@ def ref_backward(p, tr, loss_grad):
             d_b = d_hr * ta * sb * (1.0 - sb)
             d_c += d_a + d_b
             d_w, d_bias, d_hr_conv = ref_conv_time_backward(
-                np.concatenate([d_a, d_b]), ref["win"][i], p.ref.blocks[i].conv_w
+                np.concatenate([d_a, d_b]), ref["win"][i], ref_taps(p.ref.blocks[i].conv_w, H)
             )
-            grads[f"ref.block{i}.conv_w"][...] = d_w
+            grads[f"ref.block{i}.conv_w"][...] = ref_flat(d_w)
             grads[f"ref.block{i}.conv_b"][...] = d_bias
             d_hr = d_hr + d_hr_conv
             if i > 0:
@@ -178,7 +186,7 @@ def ref_init_params(n_mels, hidden, depth, cond_dim, step_dim, kernel, seed):
     convs = [rng.standard_normal((2 * hidden, hidden, kernel)) / np.sqrt(hidden * kernel) for _ in range(depth)]
 
     def branch():
-        blocks = [dn.BlockParams(conv_w=w.copy(), conv_b=np.zeros(2 * hidden)) for w in convs]
+        blocks = [dn.BlockParams(conv_w=ref_flat(w).copy(), conv_b=np.zeros(2 * hidden)) for w in convs]
         return dn.BranchParams(in_w=in_w.copy(), in_b=np.zeros(hidden), blocks=blocks)
 
     return dn.DenoiserParams(
@@ -249,27 +257,27 @@ def ref_train(config, dataset):
 def test_conv_windows_and_output_match_padded_construction(k, T):
     rng = np.random.default_rng(10 * k + T)
     h = rng.standard_normal((4, T))
-    w = rng.standard_normal((6, 4, k))
+    w = rng.standard_normal((6, 4 * k))
     b = rng.standard_normal(6)
     windows = dn._conv_windows(h, k)
-    out = dn._flatten_conv(w) @ windows
+    out = w @ windows
     out += b[:, None]
-    want_out, want_windows = ref_conv_time(h, w, b)
+    want_out, want_windows = ref_conv_time(h, ref_taps(w, 4), b)
     assert same_bytes(windows, want_windows)
     assert same_bytes(out, want_out)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("T", [1, 2, 44])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("T", [1, 2, 3, 5, 44])
 def test_conv_backward_adds_what_the_padded_version_returns(k, T):
     rng = np.random.default_rng(100 * k + T)
-    w = rng.standard_normal((6, 4, k))
-    windows = ref_windows(rng.standard_normal((4, T)), k)
+    w = rng.standard_normal((6, 4 * k))
+    h = rng.standard_normal((4, T))
     d_out = rng.standard_normal((6, T))
     acc_w, acc_b = rng.standard_normal(w.shape), rng.standard_normal(6)
-    want_w, want_b, want_h = ref_conv_time_backward(d_out, windows, w)
-    want_w, want_b = acc_w + want_w, acc_b + want_b
-    d_h = dn._conv_time_backward(d_out, windows, dn._flatten_conv(w), acc_w, acc_b)
+    want_w, want_b, want_h = ref_conv_time_backward(d_out, ref_windows(h, k), ref_taps(w, 4))
+    want_w, want_b = acc_w + ref_flat(want_w), acc_b + want_b
+    d_h = dn._conv_time_backward(d_out, h, w, acc_w, acc_b)
     assert same_bytes(d_h, want_h)
     assert same_bytes(acc_w, want_w)
     assert same_bytes(acc_b, want_b)
@@ -333,10 +341,11 @@ def test_three_step_train_matches_the_per_item_loop(reference):
 
 
 def test_flattened_conv_weights_are_views_of_the_parameters(tmp_path):
+    # each conv_w is the (2H, K*H) matrix the forward multiplies, in place in flat
     params = dn.init_params(n_mels=3, hidden=4, depth=2, kernel=5)
     dn.save_checkpoint(tmp_path / "m.rdck", params, {})
     loaded, _ = dn.load_checkpoint(tmp_path / "m.rdck")
-    for p in (params, loaded):
+    for p in (params, dn.zero_grads(params), loaded):
         for block in p.denoise.blocks + p.ref.blocks:
-            flat = dn._flatten_conv(block.conv_w)
-            assert np.shares_memory(flat, block.conv_w) and flat.flags.c_contiguous
+            w = block.conv_w
+            assert w.shape == (8, 20) and w.flags.c_contiguous and np.shares_memory(w, p.flat)

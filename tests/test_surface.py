@@ -148,6 +148,8 @@ def test_each_fact_has_one_home():
     assert inspect.signature(diffusion.p_step).parameters["t_prev"].default is inspect.Parameter.empty
     # a branch runs its convolution inline, and its trace keeps activations, not weights
     assert not hasattr(denoiser, "_conv_time")
+    # each conv weight is stored as the matrix its windows multiply, so nothing flattens it
+    assert not hasattr(denoiser, "_flatten_conv")
     assert "flat_w" not in [f.name for f in dataclasses.fields(denoiser._BranchTrace)]
     # no layer has one caller, and the trace reads its output shape off the denoiser's input
     assert not hasattr(diffusion, "posterior_mean") and not hasattr(trainer, "prepare_reference")
